@@ -371,6 +371,37 @@ BENCHMARK(BM_StoreReopen)
     ->Arg(500000)
     ->Unit(benchmark::kMillisecond);
 
+// The retrain window read: one week (168 h) of hour-major telemetry for
+// range(0) drives, materialised per drive by read_window in one pass over
+// the log. Time grows linearly with the drive count (items = samples).
+void BM_StoreReadWindow(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const auto dir = fs::temp_directory_path() / "hdd_bench_store_window";
+  fs::remove_all(dir);
+  const auto n_drives = static_cast<std::size_t>(state.range(0));
+  constexpr std::int64_t kHours = 168;
+  store::TelemetryStore store(dir.string());
+  for (std::size_t d = 0; d < n_drives; ++d) {
+    store.register_drive("bench-" + std::to_string(d));
+  }
+  for (std::int64_t hour = 0; hour < kHours; ++hour) {
+    const auto s = bench_sample(hour);
+    for (std::uint32_t id = 0; id < n_drives; ++id) store.append(id, s);
+  }
+  store.flush();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.read_window(0, kHours - 1));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n_drives * kHours));
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_StoreReadWindow)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_RankSum(benchmark::State& state) {
   Rng rng(9);
   std::vector<double> xs, ys;

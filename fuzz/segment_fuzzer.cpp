@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -85,11 +86,14 @@ int fuzz_segment(const std::uint8_t* data, std::size_t size) {
   try {
     store::TelemetryStore store(dir);
     // Exercise the index the scan built: every recovered record must be
-    // readable back without throwing.
+    // readable back, in one window read, without throwing.
     for (std::uint32_t id = 0; id < store.drive_count(); ++id) {
       (void)store.drive(id);
-      (void)store.read_drive(id);
     }
+    const auto window =
+        store.read_window(std::numeric_limits<std::int64_t>::min(),
+                          std::numeric_limits<std::int64_t>::max());
+    if (window.size() != store.drive_count()) __builtin_trap();
     (void)store.sample_count();
     (void)store.last_hour();
     (void)store.latest_generation();

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -57,19 +58,45 @@ bool same_sample(const smart::Sample& a, const smart::Sample& b) {
   return a.hour == b.hour && a.attrs == b.attrs;
 }
 
-// Exact agreement: every reference drive is registered, and read_drive
-// returns exactly the reference samples in order.
+// `got` equals `want` sample for sample, or with `prefix` is a prefix of it.
+bool matches(const std::vector<smart::Sample>& got,
+             const std::vector<smart::Sample>& want, bool prefix) {
+  if (prefix ? got.size() > want.size() : got.size() != want.size()) {
+    return false;
+  }
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    if (!same_sample(got[k], want[k])) return false;
+  }
+  return true;
+}
+
+// Both read paths against the reference: read_drive per id and the one-pass
+// read_window over all hours must each return the reference samples (or,
+// with `prefix`, a per-drive prefix of them).
+void check_reads(const store::TelemetryStore& store,
+                 const std::vector<RefDrive>& ref, bool prefix) {
+  const auto window =
+      store.read_window(std::numeric_limits<std::int64_t>::min(),
+                        std::numeric_limits<std::int64_t>::max());
+  if (window.size() != store.drive_count()) __builtin_trap();
+  for (std::uint32_t id = 0; id < store.drive_count(); ++id) {
+    if (store.drive(id).serial != ref[id].serial) __builtin_trap();
+    if (window[id].serial != ref[id].serial) __builtin_trap();
+    if (!matches(store.read_drive(id), ref[id].samples, prefix)) {
+      __builtin_trap();
+    }
+    if (!matches(window[id].samples, ref[id].samples, prefix)) {
+      __builtin_trap();
+    }
+  }
+}
+
+// Exact agreement: every reference drive is registered, and both read
+// paths return exactly the reference samples in order.
 void check_exact(const store::TelemetryStore& store,
                  const std::vector<RefDrive>& ref) {
   if (store.drive_count() != ref.size()) __builtin_trap();
-  for (std::uint32_t id = 0; id < ref.size(); ++id) {
-    if (store.drive(id).serial != ref[id].serial) __builtin_trap();
-    const auto got = store.read_drive(id);
-    if (got.size() != ref[id].samples.size()) __builtin_trap();
-    for (std::size_t k = 0; k < got.size(); ++k) {
-      if (!same_sample(got[k], ref[id].samples[k])) __builtin_trap();
-    }
-  }
+  check_reads(store, ref, /*prefix=*/false);
 }
 
 // Post-crash agreement: registrations and samples may have lost a tail,
@@ -78,14 +105,7 @@ void check_exact(const store::TelemetryStore& store,
 void check_prefix(const store::TelemetryStore& store,
                   const std::vector<RefDrive>& ref) {
   if (store.drive_count() > ref.size()) __builtin_trap();
-  for (std::uint32_t id = 0; id < store.drive_count(); ++id) {
-    if (store.drive(id).serial != ref[id].serial) __builtin_trap();
-    const auto got = store.read_drive(id);
-    if (got.size() > ref[id].samples.size()) __builtin_trap();
-    for (std::size_t k = 0; k < got.size(); ++k) {
-      if (!same_sample(got[k], ref[id].samples[k])) __builtin_trap();
-    }
-  }
+  check_reads(store, ref, /*prefix=*/true);
 }
 
 const std::string& scratch_dir() {
@@ -231,6 +251,17 @@ int fuzz_store_op(const std::uint8_t* data, std::size_t size) {
           const auto id = static_cast<std::uint32_t>(arg % ref.size());
           (void)store->find_drive(ref[id].serial);
           (void)store->read_drive(id, arg, arg + 64);
+        }
+        // A bounded window holds exactly each drive's in-range samples.
+        const auto window = store->read_window(arg, arg + 64);
+        for (std::uint32_t id = 0; id < ref.size(); ++id) {
+          std::vector<smart::Sample> want;
+          for (const smart::Sample& s : ref[id].samples) {
+            if (s.hour >= arg && s.hour <= arg + 64) want.push_back(s);
+          }
+          if (!matches(window[id].samples, want, /*prefix=*/false)) {
+            __builtin_trap();
+          }
         }
         break;
       }

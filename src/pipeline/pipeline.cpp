@@ -238,14 +238,10 @@ CycleResult UpdatePipeline::run_cycle(bool force) {
     return r;
   }
   const auto window = scheduler_.window_hours(std::max<std::int64_t>(last, 0));
-  std::vector<smart::DriveRecord> goods(store_->drive_count());
-  for (std::uint32_t id = 0; id < goods.size(); ++id) {
-    goods[id].serial = store_->drive(id).serial;
-    goods[id].samples =
-        store_->read_drive(id, window.first, window.second - 1);
-  }
   const int weeks = static_cast<int>((window.second - window.first) / 168);
-  auto gate = train_and_gate(std::move(goods), failed_, weeks, config_);
+  auto gate = train_and_gate(
+      store_->read_window(window.first, window.second - 1), failed_, weeks,
+      config_);
   scheduler_.mark(total, last);
   r.outcome = gate.outcome;
   r.val_far = gate.val_far;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -129,13 +130,10 @@ pipeline::CycleResult RetrainLoop::tick(bool force) {
     const obs::ScopedSpan span("retrain.materialize");
     for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
       (void)server_->run_on_shard(k, [&] {
-        store::TelemetryStore& st = engine_->shard(k).store();
-        for (std::uint32_t id = 0; id < st.drive_count(); ++id) {
-          smart::DriveRecord rec;
-          rec.serial = st.drive(id).serial;
-          rec.samples = st.read_drive(id, window.first, window.second - 1);
-          goods.push_back(std::move(rec));
-        }
+        auto shard_goods = engine_->shard(k).store().read_window(
+            window.first, window.second - 1);
+        goods.insert(goods.end(), std::make_move_iterator(shard_goods.begin()),
+                     std::make_move_iterator(shard_goods.end()));
       });
     }
   }

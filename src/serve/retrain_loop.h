@@ -2,9 +2,10 @@
 //
 // A background thread runs the pipeline::RetrainScheduler against the
 // daemon's own journals: on each due tick it materializes the training
-// window from every shard's TelemetryStore (on that shard's worker, so
-// reads never race ingest), trains + gates one candidate via
-// pipeline::train_and_gate, and promotes it fleet-wide.
+// window from every shard's TelemetryStore (one read_window pass per
+// shard, on that shard's worker, so reads never race ingest), trains +
+// gates one candidate via pipeline::train_and_gate, and promotes it
+// fleet-wide.
 //
 // Promotion state machine (DESIGN.md §10):
 //

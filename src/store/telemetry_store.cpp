@@ -583,22 +583,58 @@ void TelemetryStore::scan(const SampleFn& fn) const {
   }
 }
 
+void TelemetryStore::walk_window(std::optional<std::uint32_t> only,
+                                 std::int64_t from_hour, std::int64_t to_hour,
+                                 const SampleFn& fn) const {
+  if (out_ != nullptr) (void)out_->flush();  // best effort, as in scan()
+  const auto indexed = [this](std::uint32_t drive, std::uint64_t seq) {
+    const auto& segs = drive_segments_[drive];
+    return std::binary_search(segs.begin(), segs.end(), seq);
+  };
+  for (const Segment& seg : segments_) {
+    if (only && !indexed(*only, seg.seq)) continue;
+    scan_range(seg, [&](std::string_view payload) {
+      const auto rec = decode_record(payload);
+      if (!rec || rec->type != RecordType::kSample ||
+          rec->sample.hour < from_hour || rec->sample.hour > to_hour) {
+        return;
+      }
+      // The drive filter is all that tells the two readers apart. The index
+      // check keeps a whole-log walk to exactly what read_drive would
+      // return: a drive's records in the segments the index lists for it.
+      const bool keep = only ? rec->drive == *only
+                             : rec->drive < drive_segments_.size() &&
+                                   indexed(rec->drive, seg.seq);
+      if (keep) fn(rec->drive, rec->sample);
+    });
+  }
+}
+
 std::vector<smart::Sample> TelemetryStore::read_drive(
     std::uint32_t drive, std::int64_t from_hour, std::int64_t to_hour) const {
   HDD_REQUIRE(drive < drives_.size(), "drive id out of range");
-  if (out_ != nullptr) (void)out_->flush();  // best effort, as in scan()
   std::vector<smart::Sample> out;
-  const auto& segs = drive_segments_[drive];
-  for (const Segment& seg : segments_) {
-    if (!std::binary_search(segs.begin(), segs.end(), seg.seq)) continue;
-    scan_range(seg, [&](std::string_view payload) {
-      const auto rec = decode_record(payload);
-      if (rec && rec->type == RecordType::kSample && rec->drive == drive &&
-          rec->sample.hour >= from_hour && rec->sample.hour <= to_hour) {
-        out.push_back(rec->sample);
-      }
-    });
+  walk_window(drive, from_hour, to_hour,
+              [&out](std::uint32_t, const smart::Sample& s) {
+                out.push_back(s);
+              });
+  return out;
+}
+
+std::vector<smart::DriveRecord> TelemetryStore::read_window(
+    std::int64_t from_hour, std::int64_t to_hour) const {
+  obs::ScopedSpan span("store.read_window");
+  std::vector<smart::DriveRecord> out(drives_.size());
+  for (std::size_t id = 0; id < out.size(); ++id) {
+    out[id].serial = drives_[id].serial;
   }
+  std::uint64_t n = 0;
+  walk_window(std::nullopt, from_hour, to_hour,
+              [&out, &n](std::uint32_t drive, const smart::Sample& s) {
+                out[drive].samples.push_back(s);
+                ++n;
+              });
+  span.set_arg("samples", n);
   return out;
 }
 

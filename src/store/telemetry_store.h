@@ -169,10 +169,19 @@ class TelemetryStore {
   void scan(const SampleFn& fn) const;
 
   // One drive's samples with hour in [from_hour, to_hour], in append order.
+  // Reads every segment holding the drive: for single-drive readers. A
+  // whole-fleet window wants read_window, which reads each segment once.
   std::vector<smart::Sample> read_drive(
       std::uint32_t drive,
       std::int64_t from_hour = std::numeric_limits<std::int64_t>::min(),
       std::int64_t to_hour = std::numeric_limits<std::int64_t>::max()) const;
+
+  // Every registered drive's samples with hour in [from_hour, to_hour], in
+  // one pass over the log: element `id` is drive `id` (serial set, samples
+  // in append order, possibly empty), equal to read_drive(id, from_hour,
+  // to_hour). This is the retrain window read, O(journal samples).
+  std::vector<smart::DriveRecord> read_window(std::int64_t from_hour,
+                                              std::int64_t to_hour) const;
 
   // --- Retention ------------------------------------------------------------
 
@@ -217,6 +226,12 @@ class TelemetryStore {
                                    std::int64_t min_hour) const;
   void scan_range(const Segment& seg,
                   const std::function<void(std::string_view)>& fn) const;
+  // The frame walk behind read_drive and read_window: flushes buffered
+  // appends, then streams each sample with hour in [from_hour, to_hour]
+  // whose segment the index lists for its drive, in append order. `only`
+  // restricts the walk to one drive and to the segments that hold it.
+  void walk_window(std::optional<std::uint32_t> only, std::int64_t from_hour,
+                   std::int64_t to_hour, const SampleFn& fn) const;
 
   std::string dir_;
   StoreOptions options_;

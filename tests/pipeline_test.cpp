@@ -344,6 +344,59 @@ TEST_F(PipelineTest, SkipsWhenSchedulerNotDue) {
   EXPECT_EQ(reg.counter("hdd_pipeline_retrain_cycles_total", "").value(), 1u);
 }
 
+TEST_F(PipelineTest, WindowReadPromotesTheSameCandidateAsPerDriveReads) {
+  // A rotated live-style journal: hour-major appends over two weeks plus a
+  // day of the test week, and one drive that only reports in the test week
+  // (present in the window, with no samples).
+  store::StoreOptions opt;
+  opt.segment_bytes = 4096;
+  store::TelemetryStore st((base_dir_ / "s").string(), opt);
+  for (std::uint32_t d = 0; d <= kGoods; ++d) {
+    st.register_drive("good-" + std::to_string(d));
+  }
+  for (std::int64_t h = 0; h < 2 * kWeek + 24; ++h) {
+    for (std::uint32_t d = 0; d < kGoods; ++d) {
+      st.append(d, sample_at(d, h, 0.8f));
+    }
+    if (h >= 2 * kWeek) st.append(kGoods, sample_at(kGoods, h, 0.8f));
+  }
+  st.flush();
+  ASSERT_GT(st.segment_count(), 10u);
+
+  const auto pc = test_config(nullptr);
+  const auto window =
+      RetrainScheduler(pc.scheduler).window_hours(st.last_hour());
+  const int weeks = static_cast<int>((window.second - window.first) / kWeek);
+  // The per-drive materialisation the pipeline used before read_window.
+  std::vector<smart::DriveRecord> per_drive(st.drive_count());
+  for (std::uint32_t id = 0; id < per_drive.size(); ++id) {
+    per_drive[id].serial = st.drive(id).serial;
+    per_drive[id].samples =
+        st.read_drive(id, window.first, window.second - 1);
+  }
+  const auto want = train_and_gate(per_drive, failed_pool(), weeks, pc);
+  ASSERT_EQ(want.outcome, Outcome::kPromoted) << want.reason;
+  std::ostringstream want_text;
+  want.candidate->save(want_text);
+
+  const auto got =
+      train_and_gate(st.read_window(window.first, window.second - 1),
+                     failed_pool(), weeks, pc);
+  ASSERT_EQ(got.outcome, Outcome::kPromoted) << got.reason;
+  std::ostringstream got_text;
+  got.candidate->save(got_text);
+  EXPECT_EQ(got_text.str(), want_text.str());
+
+  // And the live cycle journals that same text.
+  const auto seed = train_and_gate(good_pool(), failed_pool(), 1, pc);
+  ASSERT_EQ(seed.outcome, Outcome::kPromoted);
+  core::SwappableScorer slot(seed.candidate, 0);
+  UpdatePipeline pipe(slot, st, failed_pool(), pc);
+  ASSERT_EQ(pipe.run_cycle(/*force=*/true).outcome, Outcome::kPromoted);
+  ASSERT_TRUE(st.latest_generation().has_value());
+  EXPECT_EQ(st.latest_generation()->model_text, want_text.str());
+}
+
 TEST_F(PipelineTest, RuntimeRestoresJournaledGenerationOnRestart) {
   const auto seed = train_and_gate(good_pool(), failed_pool(), 1,
                                    test_config(nullptr));

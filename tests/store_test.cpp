@@ -1,7 +1,8 @@
 // Tests for src/store: on-disk format codec round trips, append/reopen,
 // rotation, retention, and — the point of the subsystem — deterministic
 // recovery from every corruption class: torn tail, flipped payload bit,
-// empty segment, unreadable header, and crash-interrupted compaction.
+// empty segment, unreadable header, and crash-interrupted compaction — and
+// the one-pass window read agreeing with the per-drive read throughout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +10,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -518,6 +521,170 @@ TEST_F(StoreTest, SnapshotToProducesIndependentStore) {
   EXPECT_EQ(snap.sample_count(), 10u);
   EXPECT_EQ(snap.drive(0).first_hour, 10);
   fs::remove_all(snap_dir);
+}
+
+// --- One-pass window read ----------------------------------------------------
+
+// read_window(from, to) must hold every registered drive, in id order, with
+// exactly read_drive(id, from, to). read_window runs first, so any appends
+// still buffered are its to flush.
+void expect_window_matches_read_drive(const TelemetryStore& store,
+                                      std::int64_t from, std::int64_t to) {
+  const auto window = store.read_window(from, to);
+  ASSERT_EQ(window.size(), store.drive_count());
+  for (std::uint32_t id = 0; id < window.size(); ++id) {
+    EXPECT_EQ(window[id].serial, store.drive(id).serial);
+    const auto want = store.read_drive(id, from, to);
+    const auto& got = window[id].samples;
+    ASSERT_EQ(got.size(), want.size()) << "drive " << id << " [" << from
+                                       << ", " << to << "]";
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].hour, want[k].hour);
+      EXPECT_EQ(got[k].attrs, want[k].attrs);
+    }
+  }
+}
+
+// Windows covering the whole log, bounds landing exactly on sample hours,
+// a single hour, a range past every sample and an inverted range.
+void expect_windows_match_read_drive(const TelemetryStore& store) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  for (const auto& [from, to] : std::vector<std::pair<std::int64_t,
+                                                      std::int64_t>>{
+           {kMin, kMax}, {10, 20}, {25, 25}, {45, 130}, {1000, 2000},
+           {20, 10}}) {
+    expect_window_matches_read_drive(store, from, to);
+  }
+}
+
+// A rotated fleet written both ways the serve paths write it: hour-major
+// interleaved single appends (live ingest) for drives 0-3, then
+// drive-major append_batch runs (backfill) for drives 4-6 over hours
+// 100-139, and drive 7 registered with no samples at all.
+void fill_mixed_fleet(TelemetryStore& store) {
+  for (int d = 0; d < 8; ++d) store.register_drive("D" + std::to_string(d));
+  for (std::int64_t h = 0; h < 50; ++h) {
+    for (std::uint32_t d = 0; d < 4; ++d) {
+      store.append(d, make_sample(h, static_cast<float>(d)));
+    }
+  }
+  for (std::uint32_t d = 4; d < 7; ++d) {
+    std::vector<smart::Sample> run;
+    for (std::int64_t h = 100; h < 140; ++h) {
+      run.push_back(make_sample(h, static_cast<float>(d)));
+    }
+    store.append_batch(d, run.data(), run.size());
+  }
+  store.flush();
+}
+
+TEST_F(StoreTest, ReadWindowMatchesReadDriveOnARotatedMixedLog) {
+  StoreOptions opt;
+  opt.segment_bytes = 512;
+  TelemetryStore store(dir(), opt);
+  fill_mixed_fleet(store);
+  ASSERT_GT(store.segment_count(), 10u);
+  expect_windows_match_read_drive(store);
+
+  // Inclusive bounds on both ends; drives outside the window stay present.
+  const auto w = store.read_window(10, 20);
+  ASSERT_EQ(w.size(), 8u);
+  ASSERT_EQ(w[2].samples.size(), 11u);
+  EXPECT_EQ(w[2].samples.front().hour, 10);
+  EXPECT_EQ(w[2].samples.back().hour, 20);
+  EXPECT_EQ(w[2].samples[3].attrs, make_sample(13, 2.0f).attrs);
+  for (std::uint32_t d = 4; d < 8; ++d) {
+    EXPECT_TRUE(w[d].samples.empty()) << d;
+    EXPECT_EQ(w[d].serial, "D" + std::to_string(d));
+  }
+
+  TelemetryStore reopened(dir(), opt);
+  expect_windows_match_read_drive(reopened);
+}
+
+TEST_F(StoreTest, ReadWindowMatchesReadDriveAfterCompaction) {
+  StoreOptions opt;
+  opt.segment_bytes = 512;
+  TelemetryStore store(dir(), opt);
+  fill_mixed_fleet(store);
+  (void)store.compact(30);
+  ASSERT_EQ(store.segment_count(), 1u);
+  expect_windows_match_read_drive(store);
+  EXPECT_TRUE(store.read_window(0, 29)[0].samples.empty());
+  // Appends after compaction rotate past the compacted segment again.
+  for (std::int64_t h = 50; h < 60; ++h) store.append(1, make_sample(h));
+  expect_windows_match_read_drive(store);
+}
+
+TEST_F(StoreTest, ReadWindowMatchesReadDriveAfterTornTailRecovery) {
+  StoreOptions opt;
+  opt.segment_bytes = 512;
+  {
+    TelemetryStore store(dir(), opt);
+    fill_mixed_fleet(store);
+  }
+  const auto segs = segment_files();
+  fs::resize_file(segs.back(), fs::file_size(segs.back()) - 7);
+  TelemetryStore store(dir(), opt);
+  ASSERT_TRUE(store.recovery().tail_truncated);
+  expect_windows_match_read_drive(store);
+}
+
+TEST_F(StoreTest, ReadWindowMatchesReadDriveAfterACrcStopSegment) {
+  StoreOptions opt;
+  opt.segment_bytes = 512;
+  {
+    TelemetryStore store(dir(), opt);
+    fill_mixed_fleet(store);
+  }
+  // Flip a bit mid-way through an interleaved segment: its suffix is lost,
+  // later segments still load.
+  const auto segs = segment_files();
+  ASSERT_GT(segs.size(), 4u);
+  auto bytes = read_bytes(segs[3]);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
+  write_bytes(segs[3], bytes);
+  TelemetryStore store(dir(), opt);
+  ASSERT_EQ(store.recovery().records_dropped, 1u);
+  expect_windows_match_read_drive(store);
+  // The sealed segment takes no appends; the next ones land after it.
+  for (std::int64_t h = 140; h < 150; ++h) store.append(5, make_sample(h));
+  expect_windows_match_read_drive(store);
+}
+
+TEST_F(StoreTest, ReadWindowSkipsASampleRecoveryDropped) {
+  // Segment 1 holds a sample for drive 1 ahead of drive 1's registration:
+  // recovery drops it, so the index lists only segment 2 for drive 1 and
+  // read_drive never sees the dropped record. The one-pass walk reads
+  // segment 1 too and must drop it the same way.
+  fs::create_directories(dir_);
+  write_bytes(dir_ / "seg-00000001.log",
+              encode_segment_header(1, 0) +
+                  frame_record(encode_drive_record(0, "A")) +
+                  frame_record(encode_sample_record(1, make_sample(5))) +
+                  frame_record(encode_drive_record(1, "B")) +
+                  frame_record(encode_sample_record(0, make_sample(5))));
+  write_bytes(dir_ / "seg-00000002.log",
+              encode_segment_header(2, 0) +
+                  frame_record(encode_sample_record(1, make_sample(6))));
+  TelemetryStore store(dir());
+  ASSERT_EQ(store.recovery().records_dropped, 1u);
+  ASSERT_EQ(store.read_drive(1).size(), 1u);
+  expect_windows_match_read_drive(store);
+  EXPECT_EQ(store.read_window(0, 10)[1].samples.size(), 1u);
+}
+
+TEST_F(StoreTest, ReadWindowSeesUnflushedAppends) {
+  TelemetryStore store(dir());
+  fill_mixed_fleet(store);
+  for (std::int64_t h = 50; h < 55; ++h) store.append(0, make_sample(h));
+  const auto w = store.read_window(50, 54);  // nothing flushed these yet
+  ASSERT_EQ(w[0].samples.size(), 5u);
+  EXPECT_EQ(w[0].samples.back().hour, 54);
+  store.append(7, make_sample(60));
+  expect_windows_match_read_drive(store);
+  EXPECT_EQ(store.read_window(60, 60)[7].samples.size(), 1u);
 }
 
 }  // namespace
