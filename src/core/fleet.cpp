@@ -12,76 +12,6 @@
 
 namespace hdd::core {
 
-DriveVoteState::DriveVoteState(const eval::VoteConfig& vote) : vote_(vote) {
-  HDD_REQUIRE(vote_.voters >= 1, "voters must be >= 1");
-  ring_.assign(static_cast<std::size_t>(vote_.voters), 0.0f);
-}
-
-bool DriveVoteState::decide(std::size_t window) const {
-  if (vote_.average_mode) {
-    return output_sum_ / static_cast<double>(window) < vote_.threshold;
-  }
-  return static_cast<double>(failed_votes_) >
-         static_cast<double>(window) / 2.0;
-}
-
-void DriveVoteState::raise_alarm(std::int64_t hour) {
-  alarmed_ = true;
-  alarm_hour_ = hour;
-  if (alarms_counter_ != nullptr) alarms_counter_->inc();
-}
-
-bool DriveVoteState::push(std::int64_t hour, double output) {
-  if (alarmed_) return false;
-  ++seen_;
-  last_hour_ = hour;
-  // Outputs round through float exactly as eval::score_record stores them,
-  // so streaming decisions match the offline path bit for bit.
-  const float v = static_cast<float>(output);
-  const bool failed_vote = v < 0.0f;
-  if (seen_ > 1 && failed_vote != last_vote_failed_ &&
-      transitions_counter_ != nullptr) {
-    transitions_counter_->inc();
-  }
-  last_vote_failed_ = failed_vote;
-  const std::size_t want = ring_.size();
-  if (filled_ == want) {
-    const double old = ring_[head_];
-    if (old < 0.0) --failed_votes_;
-    output_sum_ -= old;
-  } else {
-    ++filled_;
-  }
-  ring_[head_] = v;
-  head_ = (head_ + 1) % want;
-  if (v < 0.0f) ++failed_votes_;
-  output_sum_ += v;
-  if (filled_ < want) return false;  // decisions start at a full window
-  if (decide(want)) {
-    raise_alarm(hour);
-    return true;
-  }
-  return false;
-}
-
-bool DriveVoteState::finish() {
-  if (alarmed_ || filled_ == 0 || filled_ >= ring_.size()) return false;
-  if (decide(filled_)) {
-    raise_alarm(last_hour_);
-    return true;
-  }
-  return false;
-}
-
-void DriveVoteState::reset() {
-  head_ = filled_ = failed_votes_ = 0;
-  output_sum_ = 0.0;
-  seen_ = 0;
-  last_hour_ = alarm_hour_ = -1;
-  alarmed_ = false;
-  last_vote_failed_ = false;
-}
-
 FleetScorer::FleetScorer(const SampleScorer& scorer, FleetScorerConfig config)
     : scorer_(&scorer), config_(std::move(config)) {
   HDD_REQUIRE(config_.features.size() == scorer_->num_features(),
@@ -301,6 +231,13 @@ void FleetScorer::attach_journal(store::TelemetryStore* store) {
   }
 }
 
+void FleetScorer::note_journal_failure(const std::string& message) {
+  degraded_ = true;
+  ++journal_failures_;
+  m_journal_failures_->inc();
+  log_message(LogLevel::kWarn, message);
+}
+
 void FleetScorer::push_history(std::size_t i, const smart::Sample& sample) {
   auto& hist = history_[i].samples;
   hist.push_back(sample);
@@ -360,13 +297,10 @@ void FleetScorer::observe_samples(std::span<const smart::Sample> samples,
         journal_->append(journal_ids_[i], samples[i]);
       } catch (const std::exception& e) {
         skip[i] = 1;
-        degraded_ = true;
-        ++journal_failures_;
-        m_journal_failures_->inc();
-        log_message(LogLevel::kWarn,
-                    "fleet: journal append failed for drive " + serials_[i] +
-                        " at hour " + std::to_string(hour) +
-                        ", skipping sample (degraded): " + e.what());
+        note_journal_failure("fleet: journal append failed for drive " +
+                             serials_[i] + " at hour " +
+                             std::to_string(hour) +
+                             ", skipping sample (degraded): " + e.what());
       }
     }
     try {
@@ -375,12 +309,8 @@ void FleetScorer::observe_samples(std::span<const smart::Sample> samples,
       // Appended but not durable: scoring proceeds; a crash before the next
       // successful flush loses at most this tail, which resume_from()'s
       // partial-interval rule already handles.
-      degraded_ = true;
-      ++journal_failures_;
-      m_journal_failures_->inc();
-      log_message(LogLevel::kWarn,
-                  std::string("fleet: journal flush failed (degraded): ") +
-                      e.what());
+      note_journal_failure(
+          std::string("fleet: journal flush failed (degraded): ") + e.what());
     }
   }
   const obs::ScopedTimer timer(m_batch_latency_);
@@ -476,14 +406,10 @@ FleetScorer::IngestResult FleetScorer::ingest_drive(
       journal_->append_batch(journal_ids_[i], kept.data(), kept.size());
       journal_->flush_to_os();
     } catch (const std::exception& e) {
-      degraded_ = true;
-      ++journal_failures_;
-      m_journal_failures_->inc();
       res.journal_failed = true;
-      log_message(LogLevel::kWarn,
-                  "fleet: journal batch append failed for drive " +
-                      serials_[i] + ", dropping batch (degraded): " +
-                      e.what());
+      note_journal_failure("fleet: journal batch append failed for drive " +
+                           serials_[i] + ", dropping batch (degraded): " +
+                           e.what());
       return res;
     }
   }
@@ -625,26 +551,15 @@ void FleetScorer::reset() {
 eval::DriveOutcome FleetScorer::replay_drive(const SampleScorer& model,
                                              const smart::DriveRecord& drive,
                                              std::size_t begin) const {
-  DriveVoteState st(config_.vote);
-  st.set_metrics(m_vote_transitions_, m_alarms_);
-  const std::size_t n = drive.samples.size();
-  if (begin >= n) return st.outcome();
-  const std::size_t block = config_.block_rows;
-  std::vector<float> xbuf;
-  std::vector<double> obuf;
-  for (std::size_t base = begin; base < n && !st.alarmed(); base += block) {
-    const std::size_t hi = std::min(base + block, n);
-    xbuf.clear();
-    smart::extract_features_block(drive, base, hi, config_.features, xbuf);
-    obuf.resize(hi - base);
-    model.predict_batch(xbuf, obuf);
-    m_samples_scored_->inc(hi - base);
-    for (std::size_t i = base; i < hi; ++i) {
-      if (st.push(drive.samples[i].hour, obuf[i - base])) break;  // alarm
-    }
-  }
-  st.finish();
-  return st.outcome();
+  DriveVoteState vote(config_.vote);
+  vote.set_metrics(m_vote_transitions_, m_alarms_);
+  return eval::detect_record(
+      drive, begin, config_.features,
+      [&](std::span<const float> xs, std::span<double> out) {
+        model.predict_batch(xs, out);
+        m_samples_scored_->inc(out.size());
+      },
+      vote, config_.block_rows);
 }
 
 std::vector<eval::DriveOutcome> FleetScorer::replay(
@@ -661,24 +576,7 @@ std::vector<eval::DriveOutcome> FleetScorer::replay(
 
 eval::EvalResult FleetScorer::evaluate(const data::DriveDataset& dataset,
                                        const data::DatasetSplit& split) const {
-  // The same jobs eval::score_dataset scores: good drives over their
-  // chronological test portion, failed drives over their whole record.
-  struct Job {
-    std::size_t drive;
-    std::size_t begin;
-  };
-  std::vector<Job> jobs;
-  for (std::size_t k = 0; k < split.good_drives.size(); ++k) {
-    const auto& d = dataset.drives[split.good_drives[k]];
-    const std::size_t begin = split.good_test_begin[k];
-    if (begin >= d.samples.size()) continue;
-    jobs.push_back({split.good_drives[k], begin});
-  }
-  for (std::size_t di : split.test_failed) {
-    if (dataset.drives[di].empty()) continue;
-    jobs.push_back({di, 0});
-  }
-
+  const auto jobs = eval::holdout_jobs(dataset, split);
   const auto pin = scorer_->pin();
   const SampleScorer& model = pin != nullptr ? *pin : *scorer_;
   std::vector<eval::DriveOutcome> outcomes(jobs.size());
@@ -686,21 +584,10 @@ eval::EvalResult FleetScorer::evaluate(const data::DriveDataset& dataset,
     outcomes[j] =
         replay_drive(model, dataset.drives[jobs[j].drive], jobs[j].begin);
   });
-
   eval::EvalResult r;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const auto& d = dataset.drives[jobs[j].drive];
-    const auto& o = outcomes[j];
-    if (d.failed) {
-      ++r.n_failed;
-      if (o.alarmed) {
-        ++r.detections;
-        r.tia_hours.push_back(static_cast<double>(d.fail_hour - o.alarm_hour));
-      }
-    } else {
-      ++r.n_good;
-      if (o.alarmed) ++r.false_alarms;
-    }
+    r.add(d.failed, d.fail_hour, outcomes[j]);
   }
   return r;
 }

@@ -8,11 +8,12 @@
 //    row per drive per interval (observe_interval). The engine scores the
 //    snapshot through SampleScorer::predict_batch in row blocks spread over
 //    the thread pool, and advances a per-drive incremental voting window
-//    (DriveVoteState) — detection never rescans a drive's history.
-//  * Replay/evaluation: score whole DriveRecords (replay, evaluate) with
-//    block feature extraction, batch model calls, early exit at the first
-//    alarm, and parallelism across drives. Decisions are identical to
-//    eval::vote_drive over eval::score_record.
+//    (eval::DriveVoteState) — detection never rescans a drive's history.
+//  * Replay/evaluation: score whole DriveRecords (replay, evaluate) through
+//    eval::detect_record over eval::holdout_jobs — block feature
+//    extraction, batch model calls, early exit at the first alarm — with
+//    parallelism across drives. Every mode votes through the same
+//    eval::DriveVoteState, so decisions match eval::evaluate exactly.
 //  * Journaled streaming: attach a store::TelemetryStore and feed raw SMART
 //    samples (observe_samples). Each interval is observed -> appended to the
 //    durable log -> scored; after a crash, resume_from() replays the log
@@ -81,68 +82,9 @@ struct FleetScorerConfig {
   obs::Registry* metrics = nullptr;
 };
 
-// Incremental sliding-window voting state for one drive: the decision rule
-// of eval::vote_drive maintained sample by sample over a ring buffer of the
-// last N model outputs.
-class DriveVoteState {
- public:
-  explicit DriveVoteState(const eval::VoteConfig& vote);
-
-  // Feeds one model output; returns true exactly when this sample raises
-  // the drive's (first) alarm. No-op once alarmed. Decisions start once the
-  // window holds N samples.
-  bool push(std::int64_t hour, double output);
-
-  // Closes a record shorter than the voting window: such drives vote once
-  // over what they have (eval::vote_drive's short-record rule). Returns
-  // true if this raises the alarm.
-  bool finish();
-
-  bool alarmed() const { return alarmed_; }
-  std::int64_t alarm_hour() const { return alarm_hour_; }
-  std::int64_t samples_seen() const { return seen_; }
-  eval::DriveOutcome outcome() const { return {alarmed_, alarm_hour_}; }
-
-  // The rolling vote verdict over the window's current contents (the rule
-  // push() checks at a full window; short windows vote over what they
-  // have), independent of the alarm latch. Shadow scoring compares the
-  // incumbent's and candidate's verdicts sample by sample with this.
-  bool current_decision() const {
-    return filled_ > 0 && decide(std::min(filled_, ring_.size()));
-  }
-
-  // Forgets all observations (keeps the configuration).
-  void reset();
-
-  // Optional instrumentation (FleetScorer wires these): `transitions`
-  // counts sample-level vote flips — consecutive model outputs of this
-  // drive crossing the failure threshold in either direction — and
-  // `alarms` counts the terminal healthy->alarmed transition. Counters
-  // are sharded atomics, so concurrent pushes from scoring blocks are
-  // safe.
-  void set_metrics(obs::Counter* transitions, obs::Counter* alarms) {
-    transitions_counter_ = transitions;
-    alarms_counter_ = alarms;
-  }
-
- private:
-  bool decide(std::size_t window) const;
-  void raise_alarm(std::int64_t hour);
-
-  eval::VoteConfig vote_;
-  std::vector<float> ring_;  // last N outputs, circular
-  std::size_t head_ = 0;
-  std::size_t filled_ = 0;
-  std::size_t failed_votes_ = 0;
-  double output_sum_ = 0.0;
-  std::int64_t seen_ = 0;
-  std::int64_t last_hour_ = -1;
-  bool alarmed_ = false;
-  std::int64_t alarm_hour_ = -1;
-  bool last_vote_failed_ = false;
-  obs::Counter* transitions_counter_ = nullptr;
-  obs::Counter* alarms_counter_ = nullptr;
-};
+// The one N-voter window lives in eval; core keeps the name for its
+// callers.
+using eval::DriveVoteState;
 
 class FleetScorer {
  public:
@@ -316,6 +258,9 @@ class FleetScorer {
                                   const smart::DriveRecord& drive,
                                   std::size_t begin) const;
   ThreadPool& pool() const;
+  // A tolerated journal append/flush failure: latches degraded(), counts
+  // it and logs `message` as a warning.
+  void note_journal_failure(const std::string& message);
   void push_history(std::size_t i, const smart::Sample& sample);
   void replay_drive_samples(const ScoreCtx& ctx, std::size_t i,
                             std::span<const smart::Sample> samples);

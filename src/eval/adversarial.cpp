@@ -19,27 +19,6 @@ struct Budget {
   double hi = std::numeric_limits<double>::infinity();
 };
 
-struct ScoreJob {
-  std::size_t drive = 0;
-  std::size_t begin = 0;
-};
-
-std::vector<ScoreJob> collect_jobs(const data::DriveDataset& dataset,
-                                   const data::DatasetSplit& split) {
-  std::vector<ScoreJob> jobs;
-  for (std::size_t k = 0; k < split.good_drives.size(); ++k) {
-    const auto& d = dataset.drives[split.good_drives[k]];
-    const std::size_t begin = split.good_test_begin[k];
-    if (begin >= d.samples.size()) continue;
-    jobs.push_back({split.good_drives[k], begin});
-  }
-  for (std::size_t di : split.test_failed) {
-    if (dataset.drives[di].empty()) continue;
-    jobs.push_back({di, 0});
-  }
-  return jobs;
-}
-
 // Feature spans: declared domain when finite, observed span otherwise.
 // The observed fallback keeps raw-counter features attackable at all —
 // their declared domain is [0, +inf).
@@ -112,34 +91,6 @@ double descend(std::vector<float>& row, const SampleModel& model,
   return best;
 }
 
-// score_record with the adversary in the loop: every sample of the drive
-// is descended before its output is recorded.
-DriveScores score_record_adversarial(const smart::DriveRecord& drive,
-                                     std::size_t begin,
-                                     const smart::FeatureSet& features,
-                                     const SampleModel& model,
-                                     const std::vector<Budget>& budgets,
-                                     double dir, int passes,
-                                     std::size_t* samples_moved) {
-  DriveScores s;
-  s.failed = drive.failed;
-  s.fail_hour = drive.fail_hour;
-  const std::size_t n = drive.samples.size();
-  if (begin >= n) return s;
-  s.hours.reserve(n - begin);
-  s.outputs.reserve(n - begin);
-  for (std::size_t i = begin; i < n; ++i) {
-    auto row = smart::extract_features(drive, i, features);
-    bool moved = false;
-    const double v =
-        descend(*row, model, budgets, dir, passes, &moved);
-    if (moved) ++*samples_moved;
-    s.hours.push_back(drive.samples[i].hour);
-    s.outputs.push_back(static_cast<float>(v));
-  }
-  return s;
-}
-
 }  // namespace
 
 AdversarialResult adversarial_evaluate(const data::DriveDataset& dataset,
@@ -153,7 +104,7 @@ AdversarialResult adversarial_evaluate(const data::DriveDataset& dataset,
     HDD_REQUIRE(eps > 0.0 && eps <= 1.0,
                 "adversarial epsilon must be in (0, 1]");
   }
-  const auto jobs = collect_jobs(dataset, split);
+  const auto jobs = holdout_jobs(dataset, split);
   const auto nf = features.specs.size();
 
   // Baseline pass; observed per-feature ranges ride along as the span
@@ -162,19 +113,19 @@ AdversarialResult adversarial_evaluate(const data::DriveDataset& dataset,
   std::vector<std::vector<float>> job_lo(jobs.size()),
       job_hi(jobs.size());
   ThreadPool::global().parallel_for(0, jobs.size(), [&](std::size_t j) {
-    const auto& drive = dataset.drives[jobs[j].drive];
-    baseline[j] = score_record(drive, jobs[j].begin, features, model);
     auto& lo = job_lo[j];
     auto& hi = job_hi[j];
     lo.assign(nf, std::numeric_limits<float>::max());
     hi.assign(nf, std::numeric_limits<float>::lowest());
-    for (std::size_t i = jobs[j].begin; i < drive.samples.size(); ++i) {
-      const auto row = smart::extract_features(drive, i, features);
-      for (std::size_t f = 0; f < nf; ++f) {
-        lo[f] = std::min(lo[f], (*row)[f]);
-        hi[f] = std::max(hi[f], (*row)[f]);
-      }
-    }
+    baseline[j] = score_record(
+        dataset.drives[jobs[j].drive], jobs[j].begin, features,
+        [&](std::span<const float> row) {
+          for (std::size_t f = 0; f < nf; ++f) {
+            lo[f] = std::min(lo[f], row[f]);
+            hi[f] = std::max(hi[f], row[f]);
+          }
+          return model(row);
+        });
   });
   std::vector<float> observed_lo(nf, 0.0f), observed_hi(nf, 0.0f);
   bool any = false;
@@ -207,9 +158,16 @@ AdversarialResult adversarial_evaluate(const data::DriveDataset& dataset,
       ThreadPool::global().parallel_for(0, jobs.size(), [&](std::size_t j) {
         const auto& drive = dataset.drives[jobs[j].drive];
         if (drive.failed != attack_failed) return;
-        scores[j] = score_record_adversarial(drive, jobs[j].begin, features,
-                                             model, budgets, dir,
-                                             config.passes, &moved[j]);
+        // Every sample of the drive is descended before its output counts.
+        scores[j] = score_record(
+            drive, jobs[j].begin, features, [&](std::span<const float> x) {
+              std::vector<float> row(x.begin(), x.end());
+              bool row_moved = false;
+              const double v = descend(row, model, budgets, dir,
+                                       config.passes, &row_moved);
+              if (row_moved) ++moved[j];
+              return v;
+            });
       });
       std::size_t total_moved = 0;
       for (const std::size_t m : moved) total_moved += m;

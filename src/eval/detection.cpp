@@ -1,27 +1,95 @@
 #include "eval/detection.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
-#include "common/math_util.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 
 namespace hdd::eval {
 
-namespace {
+DriveVoteState::DriveVoteState(const VoteConfig& vote) : vote_(vote) {
+  HDD_REQUIRE(vote_.voters >= 1, "voters must be >= 1");
+  ring_.assign(static_cast<std::size_t>(vote_.voters), 0.0f);
+}
 
-// One drive to score: dataset index + first sample index of its test range
-// (good drives score their chronological test portion, failed drives their
-// whole record).
-struct ScoreJob {
-  std::size_t drive;
-  std::size_t begin;
-};
+bool DriveVoteState::decide(std::size_t window) const {
+  if (vote_.average_mode) {
+    return output_sum_ / static_cast<double>(window) < vote_.threshold;
+  }
+  return static_cast<double>(failed_votes_) >
+         static_cast<double>(window) / 2.0;
+}
 
-std::vector<ScoreJob> collect_score_jobs(const data::DriveDataset& dataset,
-                                         const data::DatasetSplit& split) {
-  std::vector<ScoreJob> jobs;
+void DriveVoteState::raise_alarm(std::int64_t hour) {
+  alarmed_ = true;
+  alarm_hour_ = hour;
+  if (alarms_counter_ != nullptr) alarms_counter_->inc();
+}
+
+bool DriveVoteState::push(std::int64_t hour, double output) {
+  if (alarmed_) return false;
+  ++seen_;
+  last_hour_ = hour;
+  // Outputs round through float exactly as score_record stores them, so
+  // streaming decisions match the offline path bit for bit.
+  const float v = static_cast<float>(output);
+  const bool failed_vote = v < 0.0f;
+  if (seen_ > 1 && failed_vote != last_vote_failed_ &&
+      transitions_counter_ != nullptr) {
+    transitions_counter_->inc();
+  }
+  last_vote_failed_ = failed_vote;
+  const std::size_t want = ring_.size();
+  if (filled_ == want) {
+    const double old = ring_[head_];
+    if (old < 0.0) --failed_votes_;
+    output_sum_ -= old;
+  } else {
+    ++filled_;
+  }
+  ring_[head_] = v;
+  head_ = (head_ + 1) % want;
+  if (v < 0.0f) ++failed_votes_;
+  output_sum_ += v;
+  if (filled_ < want) return false;  // decisions start at a full window
+  if (decide(want)) {
+    raise_alarm(hour);
+    return true;
+  }
+  return false;
+}
+
+bool DriveVoteState::finish() {
+  if (alarmed_ || filled_ == 0 || filled_ >= ring_.size()) return false;
+  if (decide(filled_)) {
+    raise_alarm(last_hour_);
+    return true;
+  }
+  return false;
+}
+
+void DriveVoteState::reset() {
+  head_ = filled_ = failed_votes_ = 0;
+  output_sum_ = 0.0;
+  seen_ = 0;
+  last_hour_ = alarm_hour_ = -1;
+  alarmed_ = false;
+  last_vote_failed_ = false;
+}
+
+DriveOutcome vote_drive(const DriveScores& scores, const VoteConfig& config) {
+  DriveVoteState vote(config);
+  for (std::size_t i = 0; i < scores.outputs.size(); ++i) {
+    if (vote.push(scores.hours[i], scores.outputs[i])) break;
+  }
+  vote.finish();
+  return vote.outcome();
+}
+
+std::vector<HoldoutJob> holdout_jobs(const data::DriveDataset& dataset,
+                                     const data::DatasetSplit& split) {
+  std::vector<HoldoutJob> jobs;
   for (std::size_t k = 0; k < split.good_drives.size(); ++k) {
     const auto& d = dataset.drives[split.good_drives[k]];
     const std::size_t begin = split.good_test_begin[k];
@@ -35,35 +103,62 @@ std::vector<ScoreJob> collect_score_jobs(const data::DriveDataset& dataset,
   return jobs;
 }
 
+namespace {
+
+// The one extract -> predict loop: scores `drive` from `begin` in blocks
+// of `block_rows` rows and hands each block's first sample index and
+// outputs to `visit`, which returns false to stop early.
+template <typename Visit>
+void score_blocks(const smart::DriveRecord& drive, std::size_t begin,
+                  const smart::FeatureSet& features,
+                  const BatchSampleModel& model, std::size_t block_rows,
+                  Visit&& visit) {
+  HDD_REQUIRE(block_rows >= 1, "block_rows must be >= 1");
+  const std::size_t n = drive.samples.size();
+  std::vector<float> xbuf;
+  std::vector<double> obuf;
+  for (std::size_t base = begin; base < n; base += block_rows) {
+    const std::size_t hi = std::min(base + block_rows, n);
+    xbuf.clear();
+    smart::extract_features_block(drive, base, hi, features, xbuf);
+    obuf.resize(hi - base);
+    model(xbuf, obuf);
+    if (!visit(base, std::span<const double>(obuf))) return;
+  }
+}
+
+// Holdout evaluation through detect_record, parallel across drives.
+EvalResult detect_holdout(const data::DriveDataset& dataset,
+                          const data::DatasetSplit& split,
+                          const smart::FeatureSet& features,
+                          const BatchSampleModel& model,
+                          const VoteConfig& config) {
+  HDD_REQUIRE(static_cast<bool>(model), "null model");
+  const auto jobs = holdout_jobs(dataset, split);
+  std::vector<DriveOutcome> outcomes(jobs.size());
+  ThreadPool::global().parallel_for(0, jobs.size(), [&](std::size_t j) {
+    DriveVoteState vote(config);
+    outcomes[j] = detect_record(dataset.drives[jobs[j].drive], jobs[j].begin,
+                                features, model, vote);
+  });
+  EvalResult r;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const auto& d = dataset.drives[jobs[j].drive];
+    r.add(d.failed, d.fail_hour, outcomes[j]);
+  }
+  return r;
+}
+
+// Runs a scalar model row by row behind the batch interface.
+BatchSampleModel per_row(const SampleModel& model, std::size_t width) {
+  return [&model, width](std::span<const float> xs, std::span<double> out) {
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      out[r] = model(xs.subspan(r * width, width));
+    }
+  };
+}
+
 }  // namespace
-
-std::vector<DriveScores> score_dataset(const data::DriveDataset& dataset,
-                                       const data::DatasetSplit& split,
-                                       const smart::FeatureSet& features,
-                                       const SampleModel& model) {
-  HDD_REQUIRE(static_cast<bool>(model), "null model");
-  const auto jobs = collect_score_jobs(dataset, split);
-  std::vector<DriveScores> out(jobs.size());
-  ThreadPool::global().parallel_for(0, jobs.size(), [&](std::size_t j) {
-    out[j] = score_record(dataset.drives[jobs[j].drive], jobs[j].begin,
-                          features, model);
-  });
-  return out;
-}
-
-std::vector<DriveScores> score_dataset_batch(
-    const data::DriveDataset& dataset, const data::DatasetSplit& split,
-    const smart::FeatureSet& features, const BatchSampleModel& model,
-    std::size_t block_rows) {
-  HDD_REQUIRE(static_cast<bool>(model), "null model");
-  const auto jobs = collect_score_jobs(dataset, split);
-  std::vector<DriveScores> out(jobs.size());
-  ThreadPool::global().parallel_for(0, jobs.size(), [&](std::size_t j) {
-    out[j] = score_record_batch(dataset.drives[jobs[j].drive], jobs[j].begin,
-                                features, model, block_rows);
-  });
-  return out;
-}
 
 DriveScores score_record(const smart::DriveRecord& drive, std::size_t begin,
                          const smart::FeatureSet& features,
@@ -75,80 +170,47 @@ DriveScores score_record(const smart::DriveRecord& drive, std::size_t begin,
   if (begin >= n) return s;
   s.hours.reserve(n - begin);
   s.outputs.reserve(n - begin);
-  for (std::size_t i = begin; i < n; ++i) {
-    const auto row = smart::extract_features(drive, i, features);
-    s.hours.push_back(drive.samples[i].hour);
-    s.outputs.push_back(static_cast<float>(model(*row)));
-  }
+  const auto model_rows = per_row(model, features.specs.size());
+  score_blocks(drive, begin, features, model_rows, 256,
+               [&](std::size_t base, std::span<const double> out) {
+                 for (std::size_t k = 0; k < out.size(); ++k) {
+                   s.hours.push_back(drive.samples[base + k].hour);
+                   s.outputs.push_back(static_cast<float>(out[k]));
+                 }
+                 return true;
+               });
   return s;
 }
 
-DriveScores score_record_batch(const smart::DriveRecord& drive,
-                               std::size_t begin,
-                               const smart::FeatureSet& features,
-                               const BatchSampleModel& model,
-                               std::size_t block_rows) {
-  HDD_REQUIRE(block_rows >= 1, "block_rows must be >= 1");
-  DriveScores s;
-  s.failed = drive.failed;
-  s.fail_hour = drive.fail_hour;
-  const std::size_t n = drive.samples.size();
-  if (begin >= n) return s;
-  s.hours.reserve(n - begin);
-  s.outputs.reserve(n - begin);
-  std::vector<float> xbuf;
-  std::vector<double> obuf;
-  for (std::size_t base = begin; base < n; base += block_rows) {
-    const std::size_t hi = std::min(base + block_rows, n);
-    xbuf.clear();
-    smart::extract_features_block(drive, base, hi, features, xbuf);
-    obuf.resize(hi - base);
-    model(xbuf, obuf);
-    for (std::size_t i = base; i < hi; ++i) {
-      s.hours.push_back(drive.samples[i].hour);
-      s.outputs.push_back(static_cast<float>(obuf[i - base]));
-    }
-  }
-  return s;
+DriveOutcome detect_record(const smart::DriveRecord& drive, std::size_t begin,
+                           const smart::FeatureSet& features,
+                           const BatchSampleModel& model, DriveVoteState& vote,
+                           std::size_t block_rows) {
+  score_blocks(drive, begin, features, model, block_rows,
+               [&](std::size_t base, std::span<const double> out) {
+                 for (std::size_t k = 0; k < out.size(); ++k) {
+                   if (vote.push(drive.samples[base + k].hour, out[k])) {
+                     return false;  // first alarm: the decision is made
+                   }
+                 }
+                 return true;
+               });
+  vote.finish();
+  return vote.outcome();
 }
 
-DriveOutcome vote_drive(const DriveScores& scores, const VoteConfig& config) {
-  HDD_REQUIRE(config.voters >= 1, "voters must be >= 1");
-  DriveOutcome outcome;
-  const std::size_t n = scores.outputs.size();
-  if (n == 0) return outcome;
-  const std::size_t want = static_cast<std::size_t>(config.voters);
-
-  // Maintain a running window: count of failed votes / sum of outputs.
-  std::size_t failed_votes = 0;
-  double output_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = scores.outputs[i];
-    if (v < 0.0) ++failed_votes;
-    output_sum += v;
-    if (i >= want) {
-      const double old = scores.outputs[i - want];
-      if (old < 0.0) --failed_votes;
-      output_sum -= old;
-    }
-    const std::size_t w = std::min(i + 1, want);
-    // Drives shorter than N vote over what they have, but only once the
-    // full (possibly short) record is visible.
-    if (w < want && i + 1 < n) continue;
-    bool alarm;
-    if (config.average_mode) {
-      alarm = output_sum / static_cast<double>(w) < config.threshold;
-    } else {
-      alarm = static_cast<double>(failed_votes) >
-              static_cast<double>(w) / 2.0;
-    }
-    if (alarm) {
-      outcome.alarmed = true;
-      outcome.alarm_hour = scores.hours[i];
-      return outcome;
-    }
-  }
-  return outcome;
+std::vector<DriveScores> score_dataset(const data::DriveDataset& dataset,
+                                       const data::DatasetSplit& split,
+                                       const smart::FeatureSet& features,
+                                       const SampleModel& model) {
+  HDD_REQUIRE(static_cast<bool>(model), "null model");
+  const auto jobs = holdout_jobs(dataset, split);
+  std::vector<DriveScores> out(jobs.size());
+  ThreadPool::global().parallel_for(0, jobs.size(), [&](std::size_t j) {
+    out[j] = score_record(dataset.drives[jobs[j].drive], jobs[j].begin,
+                          features, model);
+  });
+  return out;
 }
 
 double EvalResult::mean_tia() const {
@@ -158,22 +220,25 @@ double EvalResult::mean_tia() const {
   return s / static_cast<double>(tia_hours.size());
 }
 
+void EvalResult::add(bool failed, std::int64_t fail_hour,
+                     const DriveOutcome& outcome) {
+  if (failed) {
+    ++n_failed;
+    if (outcome.alarmed) {
+      ++detections;
+      tia_hours.push_back(static_cast<double>(fail_hour - outcome.alarm_hour));
+    }
+  } else {
+    ++n_good;
+    if (outcome.alarmed) ++false_alarms;
+  }
+}
+
 EvalResult evaluate_votes(const std::vector<DriveScores>& scores,
                           const VoteConfig& config) {
   EvalResult r;
   for (const auto& s : scores) {
-    const DriveOutcome o = vote_drive(s, config);
-    if (s.failed) {
-      ++r.n_failed;
-      if (o.alarmed) {
-        ++r.detections;
-        r.tia_hours.push_back(
-            static_cast<double>(s.fail_hour - o.alarm_hour));
-      }
-    } else {
-      ++r.n_good;
-      if (o.alarmed) ++r.false_alarms;
-    }
+    r.add(s.failed, s.fail_hour, vote_drive(s, config));
   }
   return r;
 }
@@ -182,8 +247,9 @@ EvalResult evaluate(const data::DriveDataset& dataset,
                     const data::DatasetSplit& split,
                     const smart::FeatureSet& features,
                     const SampleModel& model, const VoteConfig& config) {
-  return evaluate_votes(score_dataset(dataset, split, features, model),
-                        config);
+  HDD_REQUIRE(static_cast<bool>(model), "null model");
+  return detect_holdout(dataset, split, features,
+                        per_row(model, features.specs.size()), config);
 }
 
 EvalResult evaluate_batch(const data::DriveDataset& dataset,
@@ -191,8 +257,7 @@ EvalResult evaluate_batch(const data::DriveDataset& dataset,
                           const smart::FeatureSet& features,
                           const BatchSampleModel& model,
                           const VoteConfig& config) {
-  return evaluate_votes(score_dataset_batch(dataset, split, features, model),
-                        config);
+  return detect_holdout(dataset, split, features, model, config);
 }
 
 const char* const kTiaBucketLabels[5] = {"0-24", "25-72", "73-168", "169-336",

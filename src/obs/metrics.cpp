@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/error.h"
-#include "common/log.h"
 
 namespace hdd::obs {
 
@@ -72,19 +71,6 @@ std::uint64_t Histogram::count() const {
   std::uint64_t total = 0;
   for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
   return total;
-}
-
-ScopedTrace::ScopedTrace(Histogram* h, const char* name)
-    : h_(h != nullptr && h->enabled() ? h : nullptr),
-      name_(name),
-      start_(h_ != nullptr ? trace_now_ticks() : 0),
-      span_(name) {}
-
-ScopedTrace::~ScopedTrace() {
-  if (h_ == nullptr) return;
-  const double ns = trace_ticks_to_ns(trace_now_ticks() - start_);
-  h_->record(ns);
-  log_debug() << name_ << ": " << ns / 1e3 << "us";
 }
 
 Registry& Registry::global() {

@@ -1,8 +1,9 @@
-// Tests for core::FleetScorer and core::DriveVoteState: the incremental
-// voting window must agree with eval::vote_drive bit for bit, replay and
-// evaluate must agree with the scalar eval harness, and the streaming path
-// must be safe under a real multi-threaded pool (this binary is the one the
-// TSan configuration targets).
+// Tests for core::FleetScorer and the voting window it shares with eval
+// (core::DriveVoteState is eval::DriveVoteState): push/finish raise the
+// alarm exactly once and agree with eval::vote_drive, replay and evaluate
+// agree with the scalar eval harness, every holdout path applies one
+// protocol, and the streaming path is safe under a real multi-threaded
+// pool (this binary is one the TSan configuration targets).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "core/fleet.h"
 #include "core/predictor.h"
 #include "data/split.h"
+#include "eval/adversarial.h"
 #include "sim/generator.h"
 
 namespace hdd::core {
@@ -318,6 +320,101 @@ TEST_F(FleetFixture, ScorerSummaryAndTreeExposed) {
   wrong.add_row(row, 0.0f);
   std::vector<double> out(1);
   EXPECT_THROW(s.predict_batch(wrong, out), ConfigError);
+}
+
+// --- One holdout protocol across every evaluation path ----------------------
+
+// A drive whose pass-through model output at sample i is outputs[i].
+smart::DriveRecord output_drive(const std::vector<float>& outputs,
+                                bool failed) {
+  smart::DriveRecord d;
+  d.failed = failed;
+  d.fail_hour = failed ? 2 * static_cast<std::int64_t>(outputs.size()) : -1;
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    smart::Sample s;
+    s.hour = 2 * static_cast<std::int64_t>(i);
+    s.set(smart::Attr::kPowerOnHours, outputs[i]);
+    d.samples.push_back(s);
+  }
+  return d;
+}
+
+TEST(HoldoutEquivalence, EveryPathAgreesOnProtocolEdgeCases) {
+  data::DriveDataset ds;
+  data::DatasetSplit split;
+  auto good = [&](std::vector<float> outputs, std::size_t test_begin) {
+    split.good_drives.push_back(ds.drives.size());
+    split.good_test_begin.push_back(test_begin);
+    ds.drives.push_back(output_drive(outputs, false));
+  };
+  auto failed = [&](std::vector<float> outputs) {
+    split.test_failed.push_back(ds.drives.size());
+    ds.drives.push_back(output_drive(outputs, true));
+  };
+  // Good drives: test portion empty (begin == length, begin > length); a
+  // failing look confined to the training portion; a false alarm.
+  good({-1, -1, -1, -1}, 4);
+  good({-1, -1, -1}, 9);
+  good({-1, -1, -1, 0.9f, 0.8f, 0.7f, 0.9f}, 3);
+  good({0.9f, 0.8f, -0.7f, -0.9f, 0.6f, 0.9f}, 0);
+  // Failed drives: empty record; shorter than N, alarming at finish();
+  // shorter than N, clean; alarming on the last sample; alarming early;
+  // never alarming.
+  failed({});
+  failed({-0.9f, -0.6f});
+  failed({-0.9f, 0.8f});
+  failed({0.9f, 0.7f, 0.8f, -0.6f, -0.9f});
+  failed({-0.8f, -0.9f, -0.7f, 0.9f, 0.9f, 0.9f});
+  failed({0.9f, 0.8f, 0.7f, 0.9f});
+
+  PassThroughScorer scorer;
+  const smart::FeatureSet features = one_feature();
+  const eval::SampleModel model = [&](std::span<const float> x) {
+    return scorer.predict(x);
+  };
+  const eval::BatchSampleModel batch =
+      [&](std::span<const float> xs, std::span<double> out) {
+        scorer.predict_batch(xs, out);
+      };
+
+  eval::VoteConfig majority;
+  majority.voters = 3;
+  eval::VoteConfig average = majority;
+  average.average_mode = true;
+  average.threshold = -0.2;
+  for (const eval::VoteConfig& vote : {majority, average}) {
+    SCOPED_TRACE(vote.average_mode ? "average mode" : "majority mode");
+    const auto expected = eval::evaluate(ds, split, features, model, vote);
+    // Two good drives and five non-empty failed records are scored; the
+    // good drive with a burst at samples 2-3 false-alarms, and the second,
+    // fourth and fifth failed records are detected, in test_failed order.
+    EXPECT_EQ(expected.n_good, 2u);
+    EXPECT_EQ(expected.n_failed, 5u);
+    EXPECT_EQ(expected.false_alarms, 1u);
+    EXPECT_EQ(expected.detections, 3u);
+    EXPECT_EQ(expected.tia_hours, (std::vector<double>{2.0, 2.0, 8.0}));
+
+    FleetScorerConfig cfg;
+    cfg.features = features;
+    cfg.vote = vote;
+    cfg.block_rows = 2;  // several blocks per drive
+    const FleetScorer fleet(scorer, cfg);
+    eval::AdversarialConfig adv;
+    adv.vote = vote;
+    adv.epsilons = {0.01};
+    const eval::EvalResult others[] = {
+        eval::evaluate_batch(ds, split, features, batch, vote),
+        fleet.evaluate(ds, split),
+        eval::adversarial_evaluate(ds, split, features, model, adv).baseline,
+    };
+    for (const eval::EvalResult& r : others) {
+      EXPECT_EQ(r.n_good, expected.n_good);
+      EXPECT_EQ(r.n_failed, expected.n_failed);
+      EXPECT_EQ(r.false_alarms, expected.false_alarms);
+      EXPECT_EQ(r.detections, expected.detections);
+      EXPECT_EQ(r.tia_hours, expected.tia_hours);
+    }
+  }
 }
 
 }  // namespace

@@ -4,18 +4,21 @@
 # Sanitizer (-DHDD_SANITIZE=undefined, recovery disabled so any UB fails
 # the run). Separate build directories so the configurations never share
 # object files. Every configuration additionally re-runs the `analysis`,
-# `obs` and `fault` test labels on their own, so a static-verifier,
-# metrics or fault-injection regression is called out by name even when
-# the full suite is noisy (the `fault` label is the randomized
+# `eval`, `obs` and `fault` test labels on their own, so a static-verifier,
+# drive-level decision, metrics or fault-injection regression is called
+# out by name even when the full suite is noisy (the `eval` label holds
+# the voting window, the holdout protocol and the fleet scorer that share
+# them; the `fault` label is the randomized
 # kill-and-resume property harness — hundreds of seeded fault schedules,
 # also exercised under ASan).
 # The plain configuration also smoke-tests `--metrics-out -` end to end,
 # boots a real `hddpredict serve` daemon for an ingest/query/metrics
 # round trip and again for a tracing round trip (`hddpredict trace`
 # fetching /debug/trace, span chain asserted from the JSON), and a
-# ThreadSanitizer build runs the `obs` and `serve` labels (sharded
-# counters, the span rings and the multi-threaded daemon all claim
-# TSan-clean).
+# ThreadSanitizer build runs the `obs`, `serve`, `pipeline`, `concurrency`
+# and `eval` labels (sharded counters, the span rings, the multi-threaded
+# daemon and the pool-parallel fleet scorer and holdout evaluation all
+# claim TSan-clean).
 # The full (non-fast) run additionally stretches the serve soak test to
 # ~30 s of fault-injected mixed operations (HDD_SOAK_MS=30000) and
 # replays the checked-in fuzz corpus through the five fuzz entry points
@@ -51,6 +54,9 @@ run_config() {
   echo "=== ctest ${build_dir} (label: analysis) ==="
   ctest --test-dir "${build_dir}" --output-on-failure -j "${JOBS}" \
       -L analysis
+  echo "=== ctest ${build_dir} (label: eval) ==="
+  ctest --test-dir "${build_dir}" --output-on-failure -j "${JOBS}" \
+      -L eval
   echo "=== ctest ${build_dir} (label: obs) ==="
   ctest --test-dir "${build_dir}" --output-on-failure -j "${JOBS}" \
       -L obs
@@ -281,16 +287,19 @@ run_config build-ubsan -DHDD_SANITIZE=undefined
 tools/fuzz.sh --regress "${JOBS}"
 
 # ThreadSanitizer over the concurrency surfaces: the sharded-atomic
-# counters, the multi-threaded serve daemon and the hot-swap/shadow path
-# of the update pipeline all claim TSan-clean, so hold them to that.
+# counters, the multi-threaded serve daemon, the hot-swap/shadow path of
+# the update pipeline, and the fleet scorer's and holdout evaluation's
+# DriveVoteState pushes on pool workers all claim TSan-clean, so hold them
+# to that.
 echo "=== configure build-tsan (-DHDD_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DHDD_SANITIZE=thread
-echo "=== build build-tsan (obs_test trace_test serve_test pipeline_test retrain_loop_test lock_order_test) ==="
+echo "=== build build-tsan (obs_test trace_test serve_test pipeline_test retrain_loop_test lock_order_test fleet_test eval_test adversarial_test) ==="
 cmake --build build-tsan -j "${JOBS}" \
     --target obs_test trace_test serve_test pipeline_test \
-        retrain_loop_test lock_order_test
-echo "=== ctest build-tsan (labels: obs serve pipeline concurrency) ==="
+        retrain_loop_test lock_order_test fleet_test eval_test \
+        adversarial_test
+echo "=== ctest build-tsan (labels: obs serve pipeline concurrency eval) ==="
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-    -L 'obs|serve|pipeline|concurrency'
+    -L 'obs|serve|pipeline|concurrency|eval'
 
-echo "=== all checks passed (static gate + plain + soak + asan + ubsan + fuzz regress + tsan-obs/serve/pipeline/concurrency) ==="
+echo "=== all checks passed (static gate + plain + soak + asan + ubsan + fuzz regress + tsan-obs/serve/pipeline/concurrency/eval) ==="
