@@ -18,16 +18,11 @@ FleetScorer::FleetScorer(const SampleScorer& scorer, FleetScorerConfig config)
               "fleet feature set width must match the model");
   HDD_REQUIRE(config_.block_rows >= 1, "block_rows must be >= 1");
   HDD_REQUIRE(config_.vote.voters >= 1, "voters must be >= 1");
-  HDD_REQUIRE(config_.history_hours >= 0, "history_hours must be >= 0");
-  if (config_.history_hours > 0) {
-    history_hours_ = config_.history_hours;
-  } else {
-    int max_interval = 0;
-    for (const auto& spec : config_.features.specs) {
-      max_interval = std::max(max_interval, spec.change_interval_hours);
-    }
-    history_hours_ = std::max(24, 4 * max_interval);
+  int max_interval = 0;
+  for (const auto& spec : config_.features.specs) {
+    max_interval = std::max(max_interval, spec.change_interval_hours);
   }
+  history_hours_ = std::max(24, 4 * max_interval);
   obs::Registry& reg =
       config_.metrics != nullptr ? *config_.metrics : obs::Registry::global();
   m_samples_scored_ = &reg.counter("hdd_fleet_samples_scored_total",
@@ -110,25 +105,6 @@ void FleetScorer::flush_shadow(const ShadowTally& t) {
   }
 }
 
-void FleetScorer::shadow_push(const ScoreCtx& /*ctx*/, std::size_t i,
-                              std::int64_t hour, double shadow_output,
-                              double primary_output, bool primary_raised,
-                              ShadowTally& tally) {
-  ++tally.samples;
-  // Sample-level vote comparison through the same float rounding push()
-  // applies, so "divergence" means exactly "this row would vote
-  // differently".
-  const bool p_fail = static_cast<float>(primary_output) < 0.0f;
-  const bool s_fail = static_cast<float>(shadow_output) < 0.0f;
-  if (p_fail != s_fail) ++tally.divergence;
-  const bool shadow_raised = shadow_states_[i].push(hour, shadow_output);
-  if (shadow_states_[i].current_decision() !=
-      states_[i].current_decision()) {
-    ++tally.vote_flips;
-  }
-  if (shadow_raised != primary_raised) ++tally.alarm_delta;
-}
-
 void FleetScorer::set_shadow(std::shared_ptr<const SampleScorer> candidate) {
   if (candidate == nullptr) {
     shadow_slot_.store(nullptr);
@@ -181,34 +157,15 @@ void FleetScorer::observe_interval(std::span<const float> xs,
   const std::size_t n = states_.size();
   if (n == 0) return;
   const obs::ScopedTimer timer(m_batch_latency_);
-  m_samples_scored_->inc(n);
-  const std::size_t block = config_.block_rows;
-  const std::size_t n_blocks = (n + block - 1) / block;
   const ScoreCtx ctx = make_ctx(/*live=*/true);
-  scratch_.resize(n);  // reused across intervals; no steady-state allocation
-  if (ctx.shadow != nullptr) shadow_scratch_.resize(n);
-  pool().parallel_for(0, n_blocks, [&](std::size_t b) {
+  scratch_.fit(n, 0);
+  for (std::size_t i = 0; i < n; ++i) scratch_.tags[i] = {i, hour};
+  const std::size_t block = config_.block_rows;
+  pool().parallel_for(0, (n + block - 1) / block, [&](std::size_t b) {
     const std::size_t lo = b * block;
     const std::size_t hi = std::min(lo + block, n);
-    // Blocks own disjoint slices of the scratch buffers and disjoint
-    // states, so no cross-thread writes.
-    ctx.model->predict_batch(
-        xs.subspan(lo * nf, (hi - lo) * nf),
-        std::span<double>(scratch_.data() + lo, hi - lo));
-    if (ctx.shadow != nullptr) {
-      ctx.shadow->predict_batch(
-          xs.subspan(lo * nf, (hi - lo) * nf),
-          std::span<double>(shadow_scratch_.data() + lo, hi - lo));
-    }
-    ShadowTally tally;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const bool raised = states_[i].push(hour, scratch_[i]);
-      if (ctx.shadow != nullptr) {
-        shadow_push(ctx, i, hour, shadow_scratch_[i], scratch_[i], raised,
-                    tally);
-      }
-    }
-    flush_shadow(tally);
+    score_block(ctx, xs.subspan(lo * nf, (hi - lo) * nf), scratch_, lo,
+                hi - lo);
   });
 }
 
@@ -238,16 +195,129 @@ void FleetScorer::note_journal_failure(const std::string& message) {
   log_message(LogLevel::kWarn, message);
 }
 
-void FleetScorer::push_history(std::size_t i, const smart::Sample& sample) {
+void FleetScorer::Scratch::fit(std::size_t rows, std::size_t nf) {
+  if (x.size() < rows * nf) x.resize(rows * nf);
+  if (tags.size() < rows) {
+    tags.resize(rows);
+    out.resize(rows);
+    shadow_out.resize(rows);
+  }
+}
+
+bool FleetScorer::admit(std::size_t i, const smart::Sample& s,
+                        std::int64_t newest, IngestResult& dropped) {
+  // Re-sent after a resume or a journal failure, re-observed, or out of
+  // order: already scored (or deliberately skipped) once.
+  if (s.hour <= newest) {
+    ++dropped.stale;
+    return false;
+  }
+  if (config_.quarantine == QuarantinePolicy::kOff) return true;
+  const auto fault = smart::classify_sample(
+      s, config_.quarantine == QuarantinePolicy::kFullDomain);
+  if (fault == smart::SampleFault::kNone) return true;
+  ++dropped.quarantined;
+  m_quarantined_->inc();
+  ++quarantined_;
+  log_message(LogLevel::kWarn, "fleet: quarantined sample for drive " +
+                                   serials_[i] + " at hour " +
+                                   std::to_string(s.hour) + " (" +
+                                   smart::sample_fault_name(fault) + ")");
+  return false;
+}
+
+bool FleetScorer::journal_append(std::size_t i,
+                                 std::span<const smart::Sample> admitted,
+                                 bool to_os) {
+  if (journal_ == nullptr) return true;
+  // Durability before scoring: a sample is on disk before it can raise an
+  // alarm. Hours the store already holds — a torn interval resume_from()
+  // dropped, the indexed prefix of a batch whose append failed — are scored
+  // on re-send but not written twice. A failure (sealed/full segment, I/O
+  // error) skips the samples; a simulated crash (io::CrashPoint,
+  // deliberately not a std::exception) still propagates.
+  const std::int64_t held = journal_->drive(journal_ids_[i]).last_hour;
+  std::size_t k = 0;
+  while (k < admitted.size() && admitted[k].hour <= held) ++k;
+  if (k == admitted.size()) return true;
+  try {
+    journal_->append_batch(journal_ids_[i], admitted.data() + k,
+                           admitted.size() - k);
+    if (to_os) journal_->flush_to_os();
+  } catch (const std::exception& e) {
+    note_journal_failure("fleet: journal append failed for drive " +
+                         serials_[i] + " at hour " +
+                         std::to_string(admitted[k].hour) + ", skipping " +
+                         std::to_string(admitted.size()) +
+                         " sample(s) (degraded): " + e.what());
+    return false;
+  }
+  return true;
+}
+
+void FleetScorer::extract_row(std::size_t i, const smart::Sample& s,
+                              float* row) {
   auto& hist = history_[i].samples;
-  hist.push_back(sample);
+  hist.push_back(s);
   // One deterministic trim rule shared by live scoring and resume_from():
   // keep samples within history_hours_ of the newest. Identical windows ->
   // identical feature rows -> identical alarms.
-  const std::int64_t min_hour = sample.hour - history_hours_;
+  const std::int64_t min_hour = s.hour - history_hours_;
   std::size_t drop = 0;
   while (drop + 1 < hist.size() && hist[drop].hour < min_hour) ++drop;
   if (drop > 0) hist.erase(hist.begin(), hist.begin() + drop);
+  smart::extract_features_row(history_[i], hist.size() - 1, config_.features,
+                              row);
+}
+
+void FleetScorer::score_block(const ScoreCtx& ctx, std::span<const float> xs,
+                              Scratch& s, std::size_t lo, std::size_t n) {
+  if (n == 0) return;
+  const std::span<double> out(s.out.data() + lo, n);
+  const std::span<double> shadow_out(s.shadow_out.data() + lo, n);
+  ctx.model->predict_batch(xs, out);
+  if (ctx.shadow != nullptr) ctx.shadow->predict_batch(xs, shadow_out);
+  ShadowTally tally;
+  for (std::size_t k = 0; k < n; ++k) {
+    const RowTag& t = s.tags[lo + k];
+    const bool raised = states_[t.drive].push(t.hour, out[k]);
+    if (ctx.shadow == nullptr) continue;
+    // Sample-level vote comparison through the same float rounding push()
+    // applies, so "divergence" means exactly "this row would vote
+    // differently".
+    ++tally.samples;
+    if ((static_cast<float>(out[k]) < 0.0f) !=
+        (static_cast<float>(shadow_out[k]) < 0.0f)) {
+      ++tally.divergence;
+    }
+    DriveVoteState& shadow = shadow_states_[t.drive];
+    if (shadow.push(t.hour, shadow_out[k]) != raised) ++tally.alarm_delta;
+    if (shadow.current_decision() != states_[t.drive].current_decision()) {
+      ++tally.vote_flips;
+    }
+  }
+  flush_shadow(tally);
+  m_samples_scored_->inc(n);
+}
+
+void FleetScorer::score_drive(const ScoreCtx& ctx, std::size_t i,
+                              std::span<const smart::Sample> samples,
+                              Scratch& s) {
+  // No early exit at the first alarm: history must stay current through the
+  // whole log so post-resume feature rows match the uninterrupted run
+  // (push() is a no-op once alarmed, exactly as in live streaming).
+  const auto nf = static_cast<std::size_t>(config_.features.size());
+  const std::size_t block = config_.block_rows;
+  s.fit(std::min(block, samples.size()), nf);
+  for (std::size_t base = 0; base < samples.size(); base += block) {
+    const std::size_t n = std::min(block, samples.size() - base);
+    for (std::size_t k = 0; k < n; ++k) {
+      const smart::Sample& sample = samples[base + k];
+      extract_row(i, sample, s.x.data() + k * nf);
+      s.tags[k] = {i, sample.hour};
+    }
+    score_block(ctx, std::span<const float>(s.x.data(), n * nf), s, 0, n);
+  }
 }
 
 void FleetScorer::observe_samples(std::span<const smart::Sample> samples,
@@ -260,49 +330,19 @@ void FleetScorer::observe_samples(std::span<const smart::Sample> samples,
     HDD_REQUIRE(samples[i].hour == hour,
                 "every sample must carry the interval hour");
   }
-  // skip[i]: drop drive i's sample this interval — everywhere (journal,
-  // history, voting), so in-memory state never diverges from what a
-  // resume_from() over the journal would rebuild.
-  std::vector<char> skip(n, 0);
-  if (config_.quarantine != QuarantinePolicy::kOff) {
-    const bool domain = config_.quarantine == QuarantinePolicy::kFullDomain;
-    std::size_t nq = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto fault = smart::classify_sample(samples[i], domain);
-      if (fault == smart::SampleFault::kNone) continue;
-      skip[i] = 1;
-      ++nq;
-      log_message(LogLevel::kWarn,
-                  "fleet: quarantined sample for drive " + serials_[i] +
-                      " at hour " + std::to_string(hour) + " (" +
-                      smart::sample_fault_name(fault) + ")");
-    }
-    if (nq > 0) {
-      m_quarantined_->inc(nq);
-      quarantined_ += nq;
+  // admit -> journal, drive by drive; the drives that pass are compacted
+  // into the first m scratch tags.
+  const auto nf = static_cast<std::size_t>(config_.features.size());
+  scratch_.fit(n, nf);
+  std::size_t m = 0;
+  IngestResult dropped;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (admit(i, samples[i], newest_hour(i), dropped) &&
+        journal_append(i, samples.subspan(i, 1), /*to_os=*/false)) {
+      scratch_.tags[m++] = {i, hour};
     }
   }
   if (journal_ != nullptr) {
-    // Durability before scoring: the sample is on disk before it can raise
-    // an alarm. Skipping hours the store already holds makes re-observing
-    // an interval after resume_from() idempotent. An append failure
-    // (sealed/full segment, I/O error) downgrades to a skip: the drive
-    // misses this interval, the fleet keeps scoring. A simulated crash
-    // (io::CrashPoint, deliberately not a std::exception) still propagates.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip[i] || journal_->drive(journal_ids_[i]).last_hour >= hour) {
-        continue;
-      }
-      try {
-        journal_->append(journal_ids_[i], samples[i]);
-      } catch (const std::exception& e) {
-        skip[i] = 1;
-        note_journal_failure("fleet: journal append failed for drive " +
-                             serials_[i] + " at hour " +
-                             std::to_string(hour) +
-                             ", skipping sample (degraded): " + e.what());
-      }
-    }
     try {
       journal_->flush();
     } catch (const std::exception& e) {
@@ -313,51 +353,24 @@ void FleetScorer::observe_samples(std::span<const smart::Sample> samples,
           std::string("fleet: journal flush failed (degraded): ") + e.what());
     }
   }
+  // history -> extract -> predict -> vote in parallel blocks of rows. Each
+  // drive holds at most one row, so blocks own disjoint history windows,
+  // voting states and scratch slices.
   const obs::ScopedTimer timer(m_batch_latency_);
-  const auto nf = static_cast<std::size_t>(config_.features.size());
-  const std::size_t block = config_.block_rows;
-  const std::size_t n_blocks = (n + block - 1) / block;
   const ScoreCtx ctx = make_ctx(/*live=*/true);
-  scratch_.resize(n);
-  if (ctx.shadow != nullptr) shadow_scratch_.resize(n);
-  std::atomic<std::size_t> scored{0};
-  pool().parallel_for(0, n_blocks, [&](std::size_t b) {
+  const std::size_t block = config_.block_rows;
+  pool().parallel_for(0, (m + block - 1) / block, [&](std::size_t b) {
     const std::size_t lo = b * block;
-    const std::size_t hi = std::min(lo + block, n);
-    // Blocks own disjoint index ranges, history slots and scratch slices;
-    // skipped rows are compacted out of the batch but keep their states
-    // untouched.
-    std::vector<std::size_t> rows;
-    rows.reserve(hi - lo);
-    std::vector<float> xbuf;
-    xbuf.reserve((hi - lo) * nf);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (skip[i]) continue;
-      rows.push_back(i);
-      push_history(i, samples[i]);
-      const std::size_t last = history_[i].samples.size() - 1;
-      smart::extract_features_block(history_[i], last, last + 1,
-                                    config_.features, xbuf);
+    const std::size_t hi = std::min(lo + block, m);
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t i = scratch_.tags[k].drive;
+      extract_row(i, samples[i], scratch_.x.data() + k * nf);
     }
-    if (rows.empty()) return;
-    ctx.model->predict_batch(
-        xbuf, std::span<double>(scratch_.data() + lo, rows.size()));
-    if (ctx.shadow != nullptr) {
-      ctx.shadow->predict_batch(
-          xbuf, std::span<double>(shadow_scratch_.data() + lo, rows.size()));
-    }
-    ShadowTally tally;
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-      const bool raised = states_[rows[k]].push(hour, scratch_[lo + k]);
-      if (ctx.shadow != nullptr) {
-        shadow_push(ctx, rows[k], hour, shadow_scratch_[lo + k],
-                    scratch_[lo + k], raised, tally);
-      }
-    }
-    flush_shadow(tally);
-    scored.fetch_add(rows.size(), std::memory_order_relaxed);
+    score_block(ctx,
+                std::span<const float>(scratch_.x.data() + lo * nf,
+                                       (hi - lo) * nf),
+                scratch_, lo, hi - lo);
   });
-  m_samples_scored_->inc(scored.load());
 }
 
 FleetScorer::IngestResult FleetScorer::ingest_drive(
@@ -370,94 +383,23 @@ FleetScorer::IngestResult FleetScorer::ingest_drive(
   const obs::ScopedTimer timer(m_batch_latency_);
   std::vector<smart::Sample>& kept = ingest_buf_;
   kept.clear();
-  kept.reserve(samples.size());
-  std::int64_t last = -1;
-  if (journal_ != nullptr) {
-    last = journal_->drive(journal_ids_[i]).last_hour;
-  } else if (!history_[i].samples.empty()) {
-    last = history_[i].samples.back().hour;
-  }
-  const bool domain = config_.quarantine == QuarantinePolicy::kFullDomain;
   for (const smart::Sample& s : samples) {
-    if (s.hour <= last) {
-      ++res.stale;  // re-sent after a resume, or out of order: drop
-      continue;
+    if (admit(i, s, kept.empty() ? newest_hour(i) : kept.back().hour, res)) {
+      kept.push_back(s);
     }
-    if (config_.quarantine != QuarantinePolicy::kOff &&
-        smart::classify_sample(s, domain) != smart::SampleFault::kNone) {
-      ++res.quarantined;
-      continue;
-    }
-    kept.push_back(s);
-    last = s.hour;
-  }
-  if (res.quarantined > 0) {
-    m_quarantined_->inc(res.quarantined);
-    quarantined_ += res.quarantined;
   }
   if (kept.empty()) return res;
-  if (journal_ != nullptr) {
-    // Durability (to the OS, not the platter) before scoring. A failure
-    // skips the whole batch in memory; chunks that landed before the
-    // failure are stale-skipped on the next send, and degraded() records
-    // that alarms since may rest on partial telemetry. A simulated crash
-    // (io::CrashPoint, not a std::exception) still propagates.
-    try {
-      journal_->append_batch(journal_ids_[i], kept.data(), kept.size());
-      journal_->flush_to_os();
-    } catch (const std::exception& e) {
-      res.journal_failed = true;
-      note_journal_failure("fleet: journal batch append failed for drive " +
-                           serials_[i] + ", dropping batch (degraded): " +
-                           e.what());
-      return res;
-    }
+  if (!journal_append(i, kept, /*to_os=*/true)) {
+    res.journal_failed = true;
+    return res;
   }
   {
     const obs::ScopedSpan score_span("fleet.score", "samples",
                                      static_cast<std::uint64_t>(kept.size()));
-    replay_drive_samples(make_ctx(/*live=*/true), i, kept);
+    score_drive(make_ctx(/*live=*/true), i, kept, scratch_);
   }
   res.accepted = kept.size();
   return res;
-}
-
-void FleetScorer::replay_drive_samples(
-    const ScoreCtx& ctx, std::size_t i,
-    std::span<const smart::Sample> samples) {
-  // No early exit at the first alarm: history must stay current through the
-  // whole log so post-resume feature rows match the uninterrupted run
-  // (push() is a no-op once alarmed, exactly as in live streaming).
-  const std::size_t block = config_.block_rows;
-  std::vector<float> xbuf;
-  std::vector<double> obuf;
-  std::vector<double> sbuf;
-  ShadowTally tally;
-  for (std::size_t base = 0; base < samples.size(); base += block) {
-    const std::size_t hi = std::min(base + block, samples.size());
-    xbuf.clear();
-    for (std::size_t k = base; k < hi; ++k) {
-      push_history(i, samples[k]);
-      const std::size_t last = history_[i].samples.size() - 1;
-      smart::extract_features_block(history_[i], last, last + 1,
-                                    config_.features, xbuf);
-    }
-    obuf.resize(hi - base);
-    ctx.model->predict_batch(xbuf, obuf);
-    if (ctx.shadow != nullptr) {
-      sbuf.resize(hi - base);
-      ctx.shadow->predict_batch(xbuf, sbuf);
-    }
-    m_samples_scored_->inc(hi - base);
-    for (std::size_t k = base; k < hi; ++k) {
-      const bool raised = states_[i].push(samples[k].hour, obuf[k - base]);
-      if (ctx.shadow != nullptr) {
-        shadow_push(ctx, i, samples[k].hour, sbuf[k - base], obuf[k - base],
-                    raised, tally);
-      }
-    }
-  }
-  flush_shadow(tally);
 }
 
 FleetScorer::ResumeResult FleetScorer::resume_from(store::TelemetryStore& store,
@@ -514,7 +456,8 @@ FleetScorer::ResumeResult FleetScorer::resume_from(store::TelemetryStore& store,
   // (live=false), so the parallel replay touches no shadow state.
   const ScoreCtx ctx = make_ctx(/*live=*/false);
   pool().parallel_for(0, per.size(), [&](std::size_t i) {
-    replay_drive_samples(ctx, i, per[i]);
+    Scratch s;  // per task: drives replay concurrently
+    score_drive(ctx, i, per[i], s);
   });
 
   ResumeResult r;

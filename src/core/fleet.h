@@ -2,7 +2,7 @@
 //
 // The paper's deployment story (Section V-E) is a monitoring node that
 // scores every drive in a data center on each SMART sample interval. This
-// engine serves that workload in two modes:
+// engine serves that workload in three modes:
 //
 //  * Streaming: register the fleet once (add_drive), then feed one feature
 //    row per drive per interval (observe_interval). The engine scores the
@@ -15,10 +15,17 @@
 //    parallelism across drives. Every mode votes through the same
 //    eval::DriveVoteState, so decisions match eval::evaluate exactly.
 //  * Journaled streaming: attach a store::TelemetryStore and feed raw SMART
-//    samples (observe_samples). Each interval is observed -> appended to the
-//    durable log -> scored; after a crash, resume_from() replays the log
-//    through the same bounded-history feature path, restoring every
-//    DriveVoteState so the continued run raises byte-identical alarms.
+//    samples, a fleet interval at a time (observe_samples) or a drive's
+//    batch at a time (ingest_drive, the serve path).
+//
+// Every live raw sample runs one per-drive pipeline: admit -> journal ->
+// history -> extract -> predict -> vote. A sample is admitted when its hour
+// is after the drive's newest in-memory hour and it passes the
+// QuarantinePolicy; the journal step appends the admitted samples the
+// store does not hold yet, and a failed append leaves them unscored.
+// resume_from() runs the journal through the same history -> extract ->
+// predict -> vote steps, so a resumed run raises byte-identical alarms and
+// a re-sent or re-observed sample is scored exactly once.
 #pragma once
 
 #include <atomic>
@@ -63,11 +70,6 @@ struct FleetScorerConfig {
   // Rows per predict_batch call (and per parallel work item in streaming
   // mode).
   std::size_t block_rows = 256;
-  // Hours of raw-sample history kept per drive for change-rate features in
-  // journaled streaming mode; 0 = auto (4x the largest change interval of
-  // the feature set, at least 24 h). Live scoring and resume_from() trim
-  // with the same rule, which is what makes resumed decisions identical.
-  int history_hours = 0;
   // Ingest hygiene for observe_samples. The default only rejects values no
   // finite arithmetic can use; kFullDomain is for raw vendor telemetry
   // (CLI ingest uses it). Synthetic/pre-normalized pipelines that score
@@ -122,24 +124,24 @@ class FleetScorer {
   store::TelemetryStore* journal() const { return journal_; }
 
   // Scores one interval of raw SMART telemetry: samples[i] is drive i's
-  // reading, all stamped `hour`. Order of operations per drive: append to
-  // the journal (if attached; skipped when the store already holds this
-  // hour, which makes re-observing an interval after a resume idempotent),
-  // push into the bounded history window, extract features, score, vote.
+  // reading, all stamped `hour`, through the per-drive pipeline (see the
+  // file comment), then fsyncs the journal once. Re-observing an interval
+  // changes nothing: its samples are no longer after the drives' newest
+  // hours. After resume_from() dropped a torn interval, re-observing it
+  // scores it without journaling the hours the store already holds.
   //
   // Graceful degradation: samples failing the quarantine policy, and
   // samples whose journal append fails, are counted
   // (hdd_fleet_quarantined_samples_total /
   // hdd_fleet_journal_append_failures_total), logged, and skipped for this
   // interval — the rest of the fleet still scores. Journal failures also
-  // latch degraded(). A skipped sample is skipped everywhere (journal,
-  // history, voting), so in-memory state always matches what a resume
-  // would replay.
+  // latch degraded(). A skipped sample is skipped everywhere (history,
+  // voting), so in-memory state always matches what a resume would replay.
   void observe_samples(std::span<const smart::Sample> samples,
                        std::int64_t hour);
 
   struct IngestResult {
-    std::size_t accepted = 0;     // journaled (if attached) and scored
+    std::size_t accepted = 0;     // scored (journaled first, if attached)
     std::size_t quarantined = 0;  // failed the quarantine policy
     std::size_t stale = 0;        // at or before the drive's newest hour
     bool journal_failed = false;  // batch skipped; degraded() is latched
@@ -147,15 +149,13 @@ class FleetScorer {
 
   // Per-drive batched ingest — the serve path, where drives report on
   // their own clocks instead of fleet-lockstep intervals. Samples must be
-  // hour-ascending; anything at or before the drive's newest journaled
-  // (or, without a journal, in-memory) hour is dropped as stale, which
-  // makes re-sending a batch after a crash/resume idempotent. Accepted
-  // samples are appended to the journal as one batched write
-  // (flush_to_os, not fsync — the daemon fsyncs on seal/shutdown), then
-  // pushed through the same history/extraction/voting path
-  // observe_samples and resume_from share, so a resumed daemon raises
-  // byte-identical alarms. Not thread-safe: callers serialize per scorer
-  // (serve gives each shard its own scorer + store).
+  // hour-ascending; anything at or before the drive's newest in-memory
+  // hour is dropped as stale, which makes re-sending a batch after a
+  // crash/resume or a journal failure idempotent. The admitted samples the
+  // store does not hold yet are appended as one batched write (flush_to_os,
+  // not fsync — the daemon fsyncs on seal/shutdown); a failed write drops
+  // the whole batch, to be re-sent. Not thread-safe: callers serialize per
+  // scorer (serve gives each shard its own scorer + store).
   IngestResult ingest_drive(std::size_t i,
                             std::span<const smart::Sample> samples);
 
@@ -199,7 +199,7 @@ class FleetScorer {
   };
 
   // Restores every drive's voting state by replaying the store through the
-  // same history/extraction/scoring path observe_samples uses. With an
+  // same history -> extract -> predict -> vote kernel as live ingest. With an
   // empty registry the store's drives are adopted in id order; otherwise
   // the registry must match the store drive for drive. drop_partial_tail
   // discards a trailing interval that only some drives reached (a crash
@@ -243,16 +243,26 @@ class FleetScorer {
     std::uint64_t vote_flips = 0;
     std::uint64_t alarm_delta = 0;
   };
+  // One scored row's key: the drive whose window it votes in, and its hour.
+  struct RowTag {
+    std::size_t drive = 0;
+    std::int64_t hour = 0;
+  };
+  // Caller-owned buffers of score_block: feature rows (row-major), their
+  // tags and the model outputs. Grown on demand and never shrunk, so
+  // steady-state scoring does not allocate.
+  struct Scratch {
+    std::vector<float> x;
+    std::vector<RowTag> tags;
+    std::vector<double> out;
+    std::vector<double> shadow_out;
+    void fit(std::size_t rows, std::size_t nf);
+  };
 
   // `live` additionally pins the shadow and (single-threaded) refreshes
   // shadow voting state for a newly installed candidate.
   ScoreCtx make_ctx(bool live);
   void flush_shadow(const ShadowTally& t);
-  // Scores one shadow output against the incumbent's state for drive i.
-  // `primary_raised` is the incumbent push() result for the same sample.
-  void shadow_push(const ScoreCtx& ctx, std::size_t i, std::int64_t hour,
-                   double shadow_output, double primary_output,
-                   bool primary_raised, ShadowTally& tally);
 
   eval::DriveOutcome replay_drive(const SampleScorer& model,
                                   const smart::DriveRecord& drive,
@@ -261,13 +271,41 @@ class FleetScorer {
   // A tolerated journal append/flush failure: latches degraded(), counts
   // it and logs `message` as a warning.
   void note_journal_failure(const std::string& message);
-  void push_history(std::size_t i, const smart::Sample& sample);
-  void replay_drive_samples(const ScoreCtx& ctx, std::size_t i,
-                            std::span<const smart::Sample> samples);
+
+  // --- The per-drive pipeline -----------------------------------------------
+
+  // Newest hour in drive i's in-memory history; -1 when it holds none.
+  std::int64_t newest_hour(std::size_t i) const {
+    return history_[i].samples.empty() ? -1 : history_[i].samples.back().hour;
+  }
+  // The admit rule: `s` must be after `newest` and pass the quarantine
+  // policy. A rejected sample is tallied in `dropped` (a quarantined one is
+  // also counted and logged).
+  bool admit(std::size_t i, const smart::Sample& s, std::int64_t newest,
+             IngestResult& dropped);
+  // The journal step: appends the admitted samples after the store's
+  // last_hour for drive i (then flush_to_os when `to_os`). Returns false
+  // after note_journal_failure; the caller then scores none of them.
+  bool journal_append(std::size_t i, std::span<const smart::Sample> admitted,
+                      bool to_os);
+  // history -> extract: pushes `s` into drive i's bounded window and
+  // writes its feature row to `row`.
+  void extract_row(std::size_t i, const smart::Sample& s, float* row);
+  // predict -> vote: scores rows [lo, lo + n) of `s` (features `xs`) with
+  // the incumbent and the shadow, pushes each output into its drive's
+  // incumbent and shadow windows and tallies their divergence.
+  void score_block(const ScoreCtx& ctx, std::span<const float> xs,
+                   Scratch& s, std::size_t lo, std::size_t n);
+  // history -> extract -> predict -> vote over one drive's admitted
+  // samples, block_rows at a time.
+  void score_drive(const ScoreCtx& ctx, std::size_t i,
+                   std::span<const smart::Sample> samples, Scratch& s);
 
   const SampleScorer* scorer_;
   FleetScorerConfig config_;
-  int history_hours_ = 0;  // resolved from config (auto when 0)
+  // Raw-sample hours kept per drive: 4x the feature set's largest change
+  // interval, at least 24 h (one rule for live scoring and resume_from()).
+  int history_hours_ = 0;
 
   // hdd_fleet_* instruments (resolved from config_.metrics, see DESIGN.md
   // §7). Owned by the registry; shared across scorers on that registry.
@@ -284,7 +322,9 @@ class FleetScorer {
   std::uint64_t journal_failures_ = 0;
   std::vector<std::string> serials_;
   std::vector<DriveVoteState> states_;
-  std::vector<double> scratch_;  // interval model outputs, reused per call
+  // The live paths' score_block buffers; the blocks of one parallel call
+  // use disjoint slices.
+  Scratch scratch_;
 
   // Shadow scoring state. The slot is the only cross-thread member
   // (controller installs, scoring calls pin); the voting states and
@@ -293,7 +333,6 @@ class FleetScorer {
   std::uint64_t shadow_installs_ = 0;  // controller-side epoch source
   std::uint64_t shadow_epoch_seen_ = 0;
   std::vector<DriveVoteState> shadow_states_;
-  std::vector<double> shadow_scratch_;
   std::atomic<std::uint64_t> sh_samples_{0};
   std::atomic<std::uint64_t> sh_divergence_{0};
   std::atomic<std::uint64_t> sh_vote_flips_{0};

@@ -93,25 +93,24 @@ eval::SampleModel HealthDegreeModel::sample_model() const {
 
 eval::DriveOutcome HealthDegreeModel::detect(const smart::DriveRecord& drive,
                                              std::size_t begin_index) const {
-  const auto scores =
-      eval::score_record(drive, begin_index,
-                         config_.ct_config.training.features, sample_model());
-  eval::VoteConfig vote;
-  vote.voters = config_.voters;
-  vote.average_mode = true;
-  vote.threshold = config_.threshold;
-  return eval::vote_drive(scores, vote);
+  HDD_REQUIRE(trained(), "health model is not trained");
+  eval::DriveVoteState vote({.voters = config_.voters,
+                             .average_mode = true,
+                             .threshold = config_.threshold});
+  return eval::detect_record(
+      drive, begin_index, config_.ct_config.training.features,
+      [this](std::span<const float> xs, std::span<double> out) {
+        rt_.predict_batch(xs, out);
+      },
+      vote);
 }
 
 eval::EvalResult HealthDegreeModel::evaluate(const data::DriveDataset& dataset,
                                              const data::DatasetSplit& split,
                                              double threshold) const {
-  eval::VoteConfig vote;
-  vote.voters = config_.voters;
-  vote.average_mode = true;
-  vote.threshold = threshold;
-  return eval::evaluate(dataset, split, config_.ct_config.training.features,
-                        sample_model(), vote);
+  return eval::evaluate(
+      dataset, split, config_.ct_config.training.features, sample_model(),
+      {.voters = config_.voters, .average_mode = true, .threshold = threshold});
 }
 
 namespace {

@@ -160,24 +160,25 @@ double FailurePredictor::score_sample(const smart::DriveRecord& drive,
   return scorer().predict(*row);
 }
 
+eval::BatchSampleModel FailurePredictor::batch_model() const {
+  const SampleScorer* s = &scorer();
+  return [s](std::span<const float> xs, std::span<double> out) {
+    s->predict_batch(xs, out);
+  };
+}
+
 eval::DriveOutcome FailurePredictor::detect(const smart::DriveRecord& drive,
                                             std::size_t begin_index) const {
-  const auto scores = eval::score_record(drive, begin_index,
-                                         config_.training.features,
-                                         sample_model());
-  return eval::vote_drive(scores, config_.vote);
+  eval::DriveVoteState vote(config_.vote);
+  return eval::detect_record(drive, begin_index, config_.training.features,
+                             batch_model(), vote);
 }
 
 eval::EvalResult FailurePredictor::evaluate(
     const data::DriveDataset& dataset,
     const data::DatasetSplit& split) const {
-  const SampleScorer* s = &scorer();
-  return eval::evaluate_batch(
-      dataset, split, config_.training.features,
-      [s](std::span<const float> xs, std::span<double> out) {
-        s->predict_batch(xs, out);
-      },
-      config_.vote);
+  return eval::evaluate_batch(dataset, split, config_.training.features,
+                              batch_model(), config_.vote);
 }
 
 const tree::DecisionTree* FailurePredictor::tree() const {

@@ -123,6 +123,9 @@ class FailurePredictor {
   std::string describe() const;
 
  private:
+  // scorer()'s predict_batch behind the eval block interface.
+  eval::BatchSampleModel batch_model() const;
+
   PredictorConfig config_;
   // The trained backend; model dispatch happens only inside fit_scorer().
   std::unique_ptr<SampleScorer> scorer_;

@@ -11,14 +11,15 @@
 // Crash-resume: resume() replays every shard's journal through
 // FleetScorer::resume_from, so a killed daemon restarts with
 // byte-identical alarm state; re-sent batches are dropped sample-by-sample
-// by the stale rule in FleetScorer::ingest_drive. The shard count is part
+// by the admit rule in FleetScorer::ingest_drive. The shard count is part
 // of the on-disk layout (the hash routes a serial to the same subdir every
 // run) — opening a store laid out for more shards than configured is a
 // ConfigError, not silent re-routing.
 //
 // Per-drive memory is bounded: each drive holds one DriveVoteState ring
-// (N voters) plus a history window trimmed to history_hours, regardless
-// of how many samples it ever ingested.
+// (N voters) plus a history window trimmed to 4x the feature set's largest
+// change interval (at least 24 h), regardless of how many samples it ever
+// ingested.
 #pragma once
 
 #include <cstdint>

@@ -76,8 +76,10 @@ float change_rate_at(const DriveRecord& drive, std::size_t index, Attr attr,
   return (now.value(attr) - past.value(attr)) / static_cast<float>(dt);
 }
 
-void fill_row(const DriveRecord& drive, std::size_t index,
-              const FeatureSet& fs, float* row) {
+}  // namespace
+
+void extract_features_row(const DriveRecord& drive, std::size_t index,
+                          const FeatureSet& fs, float* row) {
   for (std::size_t f = 0; f < fs.specs.size(); ++f) {
     const FeatureSpec& spec = fs.specs[f];
     if (spec.is_change_rate()) {
@@ -89,14 +91,12 @@ void fill_row(const DriveRecord& drive, std::size_t index,
   }
 }
 
-}  // namespace
-
 std::optional<std::vector<float>> extract_features(const DriveRecord& drive,
                                                    std::size_t index,
                                                    const FeatureSet& fs) {
   if (index >= drive.samples.size()) return std::nullopt;
   std::vector<float> row(fs.specs.size());
-  fill_row(drive, index, fs, row.data());
+  extract_features_row(drive, index, fs, row.data());
   return row;
 }
 
@@ -111,7 +111,7 @@ void extract_features_block(const DriveRecord& drive, std::size_t begin,
   out.resize(base + (end - begin) * fs.specs.size());
   float* row = out.data() + base;
   for (std::size_t i = begin; i < end; ++i, row += fs.specs.size()) {
-    fill_row(drive, i, fs, row);
+    extract_features_row(drive, i, fs, row);
   }
 }
 
@@ -128,7 +128,7 @@ std::size_t extract_features_range(const DriveRecord& drive,
     if (h > to_hour) break;
     const std::size_t base = out.size();
     out.resize(base + fs.specs.size());
-    fill_row(drive, i, fs, out.data() + base);
+    extract_features_row(drive, i, fs, out.data() + base);
     hours.push_back(h);
     ++rows;
   }

@@ -56,6 +56,12 @@ std::optional<std::vector<float>> extract_features(const DriveRecord& drive,
                                                    std::size_t index,
                                                    const FeatureSet& fs);
 
+// Writes the feature row of sample `index` into `row` (fs.size() floats, no
+// bounds check) — the one-row primitive every extractor below shares; the
+// fleet engine calls it per ingested sample.
+void extract_features_row(const DriveRecord& drive, std::size_t index,
+                          const FeatureSet& fs, float* row);
+
 // Extracts features for samples [begin, end) row-major into `out` (appended;
 // no per-row allocation) — the block-extraction path of the fleet-scoring
 // engine. `end` must not exceed the record length.

@@ -229,6 +229,42 @@ TEST_F(CoreFixture, ScoreSampleAndDetectAgree) {
   GTEST_SKIP() << "no alarmed failed drive in this tiny fixture";
 }
 
+// detect() is the batched, early-exit path (eval::detect_record); it must
+// decide exactly as voting over the row-by-row scores of the whole record.
+TEST_F(CoreFixture, DetectEqualsVoteOverScoredRecord) {
+  FailurePredictor ct(paper_ct_config());
+  ct.fit(*fleet_, *split_);
+  HealthDegreeModel rt;
+  rt.fit(*fleet_, *split_);
+  eval::VoteConfig average;
+  average.voters = rt.config().voters;
+  average.average_mode = true;
+  average.threshold = rt.config().threshold;
+  const auto& features = ct.config().training.features;
+  std::size_t ct_alarms = 0, rt_alarms = 0;
+  for (const auto& d : fleet_->drives) {
+    const auto ct_want = eval::vote_drive(
+        eval::score_record(d, 0, features, ct.sample_model()),
+        ct.config().vote);
+    const auto ct_got = ct.detect(d);
+    EXPECT_EQ(ct_got.alarmed, ct_want.alarmed) << d.serial;
+    EXPECT_EQ(ct_got.alarm_hour, ct_want.alarm_hour) << d.serial;
+    ct_alarms += ct_got.alarmed ? 1 : 0;
+
+    const auto rt_want = eval::vote_drive(
+        eval::score_record(d, 0, rt.config().ct_config.training.features,
+                           rt.sample_model()),
+        average);
+    const auto rt_got = rt.detect(d);
+    EXPECT_EQ(rt_got.alarmed, rt_want.alarmed) << d.serial;
+    EXPECT_EQ(rt_got.alarm_hour, rt_want.alarm_hour) << d.serial;
+    rt_alarms += rt_got.alarmed ? 1 : 0;
+  }
+  // Both voting modes must actually alarm somewhere for this to mean much.
+  EXPECT_GT(ct_alarms, 0u);
+  EXPECT_GT(rt_alarms, 0u);
+}
+
 TEST_F(CoreFixture, UntrainedPredictorRefusesToPredict) {
   FailurePredictor p(paper_ct_config());
   EXPECT_THROW(p.sample_model(), ConfigError);

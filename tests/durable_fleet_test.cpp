@@ -274,6 +274,45 @@ TEST_F(DurableFleetTest, ObserveSamplesValidatesInput) {
   EXPECT_THROW(f.observe_samples(wrong_hour, 0), ConfigError);
 }
 
+// Observing the same interval twice is a no-op: the second copy is not
+// after any drive's newest hour, so it neither votes nor reaches the
+// journal again.
+TEST_F(DurableFleetTest, ReobservingAnIntervalChangesNothing) {
+  const MixScorer scorer;
+  store::TelemetryStore store(store_dir("reobserve"));
+  FleetScorer f(scorer, test_config());
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    f.add_drive("drive-" + std::to_string(d));
+  }
+  f.attach_journal(&store);
+  struct DriveState {
+    bool alarmed;
+    std::int64_t alarm_hour;
+    std::int64_t samples_seen;
+    bool decision;
+    bool operator==(const DriveState&) const = default;
+  };
+  const auto snapshot = [&] {
+    std::vector<DriveState> out;
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      const auto& s = f.state(i);
+      out.push_back({s.alarmed(), s.alarm_hour(), s.samples_seen(),
+                     s.current_decision()});
+    }
+    return out;
+  };
+  for (std::int64_t h = 0; h < kHours; ++h) {
+    const auto batch = interval_at(h);
+    f.observe_samples(batch, h);
+    const auto before = snapshot();
+    const std::size_t journaled = store.sample_count();
+    f.observe_samples(batch, h);
+    EXPECT_EQ(snapshot(), before) << "hour " << h;
+    EXPECT_EQ(store.sample_count(), journaled) << "hour " << h;
+  }
+  EXPECT_EQ(outcomes(f), baseline_run(scorer));
+}
+
 // Journal-less observe_samples equals journaled observe_samples: the
 // durability layer must not perturb scoring.
 TEST_F(DurableFleetTest, JournalDoesNotChangeDecisions) {

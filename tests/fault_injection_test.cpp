@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -40,6 +41,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/shard_engine.h"
+#include "store/format.h"
 #include "store/telemetry_store.h"
 
 namespace hdd::core {
@@ -727,6 +729,98 @@ TEST_F(FaultInjectionTest, ServeLoopKillRestartResume) {
   }
   EXPECT_GE(n_crashed, 80u);
   EXPECT_GE(n_lossless, 30u);
+}
+
+// An Env whose Nth File::append fails with nothing landed: a batch that
+// spans segment rotations indexes the chunks written before it and then
+// throws.
+class FailNthAppendEnv final : public io::EnvWrapper {
+ public:
+  FailNthAppendEnv(io::Env& target, int fail_on_append)
+      : EnvWrapper(target), fail_on_append_(fail_on_append) {}
+
+  io::IoStatus new_append_file(const std::string& path, bool truncate,
+                               std::unique_ptr<io::File>& out) override {
+    std::unique_ptr<io::File> real;
+    if (auto s = EnvWrapper::new_append_file(path, truncate, real); !s.ok()) {
+      return s;
+    }
+    out = std::make_unique<FailingFile>(std::move(real), this);
+    return io::IoStatus::success();
+  }
+
+ private:
+  class FailingFile final : public io::File {
+   public:
+    FailingFile(std::unique_ptr<io::File> real, FailNthAppendEnv* env)
+        : real_(std::move(real)), env_(env) {}
+    io::IoStatus append(std::string_view data) override {
+      if (++env_->appends_ == env_->fail_on_append_) {
+        return io::IoStatus::transient_error("injected append failure");
+      }
+      return real_->append(data);
+    }
+    io::IoStatus flush() override { return real_->flush(); }
+    io::IoStatus sync() override { return real_->sync(); }
+    io::IoStatus close() override { return real_->close(); }
+    void abandon() override { real_->abandon(); }
+
+   private:
+    std::unique_ptr<io::File> real_;
+    FailNthAppendEnv* env_;
+  };
+
+  int appends_ = 0;
+  const int fail_on_append_;
+};
+
+// A batch whose journal write fails after some chunks were indexed is
+// dropped in memory; the producer re-sends it. The re-send must score the
+// whole batch (the indexed prefix included) without journaling any hour
+// twice, so the live engine agrees with one resumed from the same store.
+TEST_F(FaultInjectionTest, ResentBatchAfterPartialJournalWriteScoresOnce) {
+  const MixScorer scorer;
+  obs::Registry reg;
+  // Segments of three sample frames: the 8-sample batch spans rotations,
+  // and append #6 (a later chunk's segment) fails.
+  FailNthAppendEnv env(io::Env::posix(), /*fail_on_append=*/6);
+  store::StoreOptions so;
+  so.env = &env;
+  so.metrics = &reg;
+  so.retry.sleep = false;
+  so.segment_bytes =
+      store::kSegmentHeaderBytes + 64 + 3 * store::kSampleFrameBytes;
+  store::TelemetryStore store((base_dir_ / "resend").string(), so);
+  FleetScorer live(scorer, test_config(&reg));
+  live.add_drive(serial_of(0));
+  live.attach_journal(&store);
+  std::vector<smart::Sample> batch;
+  for (std::int64_t h = 0; h < 8; ++h) batch.push_back(sample_for(0, h));
+
+  const auto first = live.ingest_drive(0, batch);
+  ASSERT_TRUE(first.journal_failed);
+  EXPECT_EQ(first.accepted, 0u);
+  EXPECT_EQ(live.state(0).samples_seen(), 0);
+  // The scenario: a strict prefix of the batch is indexed in the journal.
+  ASSERT_GT(store.drive(0).n_samples, 0u);
+  ASSERT_LT(store.drive(0).n_samples, batch.size());
+
+  const auto again = live.ingest_drive(0, batch);
+  EXPECT_FALSE(again.journal_failed);
+  EXPECT_EQ(again.stale, 0u);
+  EXPECT_EQ(again.accepted, batch.size());
+  store.flush();
+
+  const auto held = store.read_drive(0);
+  ASSERT_EQ(held.size(), batch.size());
+  for (std::size_t k = 0; k < held.size(); ++k) {
+    EXPECT_EQ(held[k].hour, static_cast<std::int64_t>(k));
+  }
+  FleetScorer resumed(scorer, test_config(&reg));
+  resumed.resume_from(store, /*drop_partial_tail=*/false);
+  EXPECT_EQ(live.state(0).alarmed(), resumed.state(0).alarmed());
+  EXPECT_EQ(live.state(0).alarm_hour(), resumed.state(0).alarm_hour());
+  EXPECT_EQ(live.state(0).samples_seen(), resumed.state(0).samples_seen());
 }
 
 // The retry policy's attempt accounting, without any filesystem.

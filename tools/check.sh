@@ -16,9 +16,10 @@
 # round trip and again for a tracing round trip (`hddpredict trace`
 # fetching /debug/trace, span chain asserted from the JSON), and a
 # ThreadSanitizer build runs the `obs`, `serve`, `pipeline`, `concurrency`
-# and `eval` labels (sharded counters, the span rings, the multi-threaded
-# daemon and the pool-parallel fleet scorer and holdout evaluation all
-# claim TSan-clean).
+# and `eval` labels plus DurableFleetTest by name (sharded counters, the
+# span rings, the multi-threaded daemon, the pool-parallel fleet scorer
+# and holdout evaluation, and journaled observe_samples all claim
+# TSan-clean).
 # The full (non-fast) run additionally stretches the serve soak test to
 # ~30 s of fault-injected mixed operations (HDD_SOAK_MS=30000) and
 # replays the checked-in fuzz corpus through the five fuzz entry points
@@ -288,18 +289,22 @@ tools/fuzz.sh --regress "${JOBS}"
 
 # ThreadSanitizer over the concurrency surfaces: the sharded-atomic
 # counters, the multi-threaded serve daemon, the hot-swap/shadow path of
-# the update pipeline, and the fleet scorer's and holdout evaluation's
-# DriveVoteState pushes on pool workers all claim TSan-clean, so hold them
-# to that.
+# the update pipeline, the fleet scorer's and holdout evaluation's
+# DriveVoteState pushes on pool workers, and observe_samples' blocks
+# writing disjoint slices of the scorer's shared scratch all claim
+# TSan-clean, so hold them to that.
 echo "=== configure build-tsan (-DHDD_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DHDD_SANITIZE=thread
-echo "=== build build-tsan (obs_test trace_test serve_test pipeline_test retrain_loop_test lock_order_test fleet_test eval_test adversarial_test) ==="
+echo "=== build build-tsan (obs_test trace_test serve_test pipeline_test retrain_loop_test lock_order_test fleet_test eval_test adversarial_test durable_fleet_test) ==="
 cmake --build build-tsan -j "${JOBS}" \
     --target obs_test trace_test serve_test pipeline_test \
         retrain_loop_test lock_order_test fleet_test eval_test \
-        adversarial_test
+        adversarial_test durable_fleet_test
 echo "=== ctest build-tsan (labels: obs serve pipeline concurrency eval) ==="
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
     -L 'obs|serve|pipeline|concurrency|eval'
+echo "=== ctest build-tsan (DurableFleetTest) ==="
+ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
+    -R '^DurableFleetTest'
 
-echo "=== all checks passed (static gate + plain + soak + asan + ubsan + fuzz regress + tsan-obs/serve/pipeline/concurrency/eval) ==="
+echo "=== all checks passed (static gate + plain + soak + asan + ubsan + fuzz regress + tsan-obs/serve/pipeline/concurrency/eval/durable-fleet) ==="
