@@ -91,25 +91,35 @@ eval::SampleModel HealthDegreeModel::sample_model() const {
   return [t](std::span<const float> x) { return t->predict(x); };
 }
 
+namespace {
+
+// The regression tree scored one block of feature rows per call: the model
+// both detect and evaluate vote over.
+eval::BatchSampleModel block_model(const tree::DecisionTree& rt) {
+  return [&rt](std::span<const float> xs, std::span<double> out) {
+    rt.predict_batch(xs, out);
+  };
+}
+
+}  // namespace
+
 eval::DriveOutcome HealthDegreeModel::detect(const smart::DriveRecord& drive,
                                              std::size_t begin_index) const {
   HDD_REQUIRE(trained(), "health model is not trained");
   eval::DriveVoteState vote({.voters = config_.voters,
                              .average_mode = true,
                              .threshold = config_.threshold});
-  return eval::detect_record(
-      drive, begin_index, config_.ct_config.training.features,
-      [this](std::span<const float> xs, std::span<double> out) {
-        rt_.predict_batch(xs, out);
-      },
-      vote);
+  return eval::detect_record(drive, begin_index,
+                             config_.ct_config.training.features,
+                             block_model(rt_), vote);
 }
 
 eval::EvalResult HealthDegreeModel::evaluate(const data::DriveDataset& dataset,
                                              const data::DatasetSplit& split,
                                              double threshold) const {
-  return eval::evaluate(
-      dataset, split, config_.ct_config.training.features, sample_model(),
+  HDD_REQUIRE(trained(), "health model is not trained");
+  return eval::evaluate_batch(
+      dataset, split, config_.ct_config.training.features, block_model(rt_),
       {.voters = config_.voters, .average_mode = true, .threshold = threshold});
 }
 

@@ -169,6 +169,14 @@ std::unique_ptr<SampleScorer> make_model_scorer(AnyModel m) {
   return make_mlp_scorer(std::move(std::get<ann::MlpModel>(m)));
 }
 
+std::unique_ptr<SampleScorer> load_generation_model(
+    const std::string& model_text) {
+  std::istringstream is(model_text);
+  LoadOptions off;
+  off.verify = VerifyMode::kOff;
+  return make_model_scorer(load_model(is, off));
+}
+
 void save_scorer_file(const SampleScorer& scorer, const std::string& path,
                       io::Env* env) {
   std::ostringstream os;

@@ -85,9 +85,16 @@ analysis::Report verify_model(const AnyModel& m,
                               const analysis::VerifyOptions& options = {},
                               const std::string& model_path = "model");
 
-// Wraps any loaded model behind the scorer interface (the hot-swap restore
-// path: generation records round-trip through save()/load_model()).
+// Wraps any loaded model behind the scorer interface.
 std::unique_ptr<SampleScorer> make_model_scorer(AnyModel m);
+
+// Turns a journaled generation record's model text (SampleScorer::save
+// output) back into a scorer: the one restore path for promoted models.
+// The model was linted when it was promoted, and a strict re-verify could
+// wedge a restart on a rule added since, so it loads unverified. Throws
+// DataError on malformed text.
+std::unique_ptr<SampleScorer> load_generation_model(
+    const std::string& model_text);
 
 // Persists a trained scorer in its native format (SampleScorer::save);
 // throws ConfigError for backends without one (AdaBoost).

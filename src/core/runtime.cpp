@@ -1,6 +1,5 @@
 #include "core/runtime.h"
 
-#include <sstream>
 #include <utility>
 
 #include "common/error.h"
@@ -35,10 +34,7 @@ FleetRuntime::FleetRuntime(FleetRuntimeConfig config) {
     // makes any restart after a promotion resume to the promoted model,
     // not the stale seed.
     const store::GenerationRecord& rec = *store_->latest_generation();
-    std::istringstream is(rec.model_text);
-    LoadOptions off;  // linted at promotion time; load as-is
-    off.verify = VerifyMode::kOff;
-    owned_scorer_ = make_model_scorer(load_model(is, off));
+    owned_scorer_ = load_generation_model(rec.model_text);
     HDD_REQUIRE(owned_scorer_->num_features() == config.features.size(),
                 "journaled generation model does not match the feature "
                 "layout");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -30,42 +31,6 @@ const char* outcome_name(Outcome o) {
   return "?";
 }
 
-void PipelineMetrics::record(Outcome o) const {
-  if (cycles == nullptr) return;
-  if (o != Outcome::kSkipped && o != Outcome::kNone) cycles->inc();
-  switch (o) {
-    case Outcome::kPromoted: promotions->inc(); break;
-    case Outcome::kRejectedLint: rej_lint->inc(); break;
-    case Outcome::kRejectedGuardrail: rej_guardrail->inc(); break;
-    case Outcome::kRejectedNoData: rej_no_data->inc(); break;
-    case Outcome::kRejectedTrainFailed: rej_train_failed->inc(); break;
-    case Outcome::kNone:
-    case Outcome::kSkipped:
-      break;
-  }
-}
-
-PipelineMetrics make_pipeline_metrics(obs::Registry* registry) {
-  obs::Registry& reg =
-      registry != nullptr ? *registry : obs::Registry::global();
-  PipelineMetrics m;
-  m.cycles = &reg.counter("hdd_pipeline_retrain_cycles_total",
-                          "Retrain cycles that trained a candidate.");
-  m.promotions = &reg.counter("hdd_pipeline_promotions_total",
-                              "Candidates promoted to the live scorer.");
-  const char* rej_name = "hdd_pipeline_rejections_total";
-  const char* rej_help = "Candidates rejected, by gate.";
-  m.rej_lint = &reg.counter(rej_name, rej_help, {{"reason", "lint"}});
-  m.rej_guardrail =
-      &reg.counter(rej_name, rej_help, {{"reason", "guardrail"}});
-  m.rej_no_data = &reg.counter(rej_name, rej_help, {{"reason", "no_data"}});
-  m.rej_train_failed =
-      &reg.counter(rej_name, rej_help, {{"reason", "train_failed"}});
-  m.generation = &reg.gauge("hdd_pipeline_generation",
-                            "Live model generation (0 = seed model).");
-  return m;
-}
-
 namespace {
 
 std::string first_finding(const analysis::Report& report) {
@@ -79,10 +44,43 @@ std::string first_finding(const analysis::Report& report) {
 
 }  // namespace
 
-GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
-                          const std::vector<smart::DriveRecord>& failed_pool,
-                          int window_weeks, const PipelineConfig& config) {
-  GateResult res;
+HoldoutSplit holdout_split(std::vector<smart::DriveRecord> train_goods,
+                           std::vector<smart::DriveRecord> val_goods,
+                           const std::vector<smart::DriveRecord>& failed_pool,
+                           std::span<const std::size_t> train_failed,
+                           std::span<const std::size_t> val_failed,
+                           const std::string& family) {
+  HoldoutSplit h;
+  h.train_ds.family_names = {family};
+  h.val_ds.family_names = {family};
+  for (auto& g : train_goods) {
+    if (g.empty()) continue;
+    h.train.good_drives.push_back(h.train_ds.drives.size());
+    h.train.good_test_begin.push_back(g.samples.size());  // all train
+    h.train_ds.drives.push_back(std::move(g));
+  }
+  for (const std::size_t i : train_failed) {
+    h.train.train_failed.push_back(h.train_ds.drives.size());
+    h.train_ds.drives.push_back(failed_pool[i]);
+  }
+  for (auto& g : val_goods) {
+    if (g.empty()) continue;
+    h.val.good_drives.push_back(h.val_ds.drives.size());
+    h.val.good_test_begin.push_back(0);  // the whole window is test data
+    h.val_ds.drives.push_back(std::move(g));
+  }
+  for (const std::size_t i : val_failed) {
+    if (failed_pool[i].empty()) continue;
+    h.val.test_failed.push_back(h.val_ds.drives.size());
+    h.val_ds.drives.push_back(failed_pool[i]);
+  }
+  return h;
+}
+
+CycleResult train_and_gate(std::vector<smart::DriveRecord> goods,
+                           const std::vector<smart::DriveRecord>& failed_pool,
+                           int window_weeks, const PipelineConfig& config) {
+  CycleResult res;
 
   // Deterministic held-back split of both pools: the same seed always
   // carves the same validation slice, so a rejected candidate re-trained
@@ -94,25 +92,19 @@ GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
       static_cast<double>(failed_pool.size()) * config.train_fraction));
   const auto n_train_good = static_cast<std::size_t>(std::round(
       static_cast<double>(goods.size()) * config.train_fraction));
-
-  const std::string family = "pipeline";
-  data::DriveDataset train_ds;
-  train_ds.family_names = {family};
-  data::DatasetSplit train_split;
-  for (std::size_t i = 0; i < n_train_good; ++i) {
-    auto& g = goods[gperm[i]];
-    if (g.empty()) continue;
-    train_split.good_drives.push_back(train_ds.drives.size());
-    train_split.good_test_begin.push_back(g.samples.size());  // all train
-    train_ds.drives.push_back(std::move(g));
+  std::vector<smart::DriveRecord> train_goods, val_goods;
+  for (std::size_t i = 0; i < goods.size(); ++i) {
+    (i < n_train_good ? train_goods : val_goods)
+        .push_back(std::move(goods[gperm[i]]));
   }
-  for (std::size_t k = 0; k < n_train_failed; ++k) {
-    train_split.train_failed.push_back(train_ds.drives.size());
-    train_ds.drives.push_back(failed_pool[fperm[k]]);
-  }
-  if (train_split.good_drives.empty() || train_split.train_failed.empty()) {
+  const std::span<const std::size_t> failed_order(fperm);
+  const HoldoutSplit split = holdout_split(
+      std::move(train_goods), std::move(val_goods), failed_pool,
+      failed_order.first(n_train_failed), failed_order.subspan(n_train_failed),
+      "pipeline");
+  if (split.train.good_drives.empty() || split.train.train_failed.empty()) {
     res.outcome = Outcome::kRejectedNoData;
-    res.reason = train_split.good_drives.empty()
+    res.reason = split.train.good_drives.empty()
                      ? "training window holds no good samples"
                      : "no failed drives in the training split";
     return res;
@@ -128,7 +120,8 @@ GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
   std::size_t rows = 0;
   try {
     const obs::ScopedSpan train_span("pipeline.train");
-    const auto matrix = data::build_training_matrix(train_ds, train_split, tc);
+    const auto matrix =
+        data::build_training_matrix(split.train_ds, split.train, tc);
     rows = matrix.rows();
     scorer = core::fit_scorer(config.trainer, matrix);
   } catch (const std::exception& e) {
@@ -156,24 +149,9 @@ GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
   }
 
   // Gate 2: FAR/FDR rails on the held-back validation slice.
-  data::DriveDataset val_ds;
-  val_ds.family_names = {family};
-  data::DatasetSplit val_split;
-  for (std::size_t i = n_train_good; i < goods.size(); ++i) {
-    auto& g = goods[gperm[i]];
-    if (g.empty()) continue;
-    val_split.good_drives.push_back(val_ds.drives.size());
-    val_split.good_test_begin.push_back(0);  // the whole window is test data
-    val_ds.drives.push_back(std::move(g));
-  }
-  for (std::size_t k = n_train_failed; k < failed_pool.size(); ++k) {
-    if (failed_pool[fperm[k]].empty()) continue;
-    val_split.test_failed.push_back(val_ds.drives.size());
-    val_ds.drives.push_back(failed_pool[fperm[k]]);
-  }
   const core::SampleScorer* raw = scorer.get();
   const auto result = eval::evaluate_batch(
-      val_ds, val_split, tc.features,
+      split.val_ds, split.val, tc.features,
       [raw](std::span<const float> xs, std::span<double> out) {
         raw->predict_batch(xs, out);
       },
@@ -204,68 +182,131 @@ GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
   return res;
 }
 
-std::shared_ptr<const core::SampleScorer> load_generation_model(
-    const std::string& model_text) {
-  std::istringstream is(model_text);
-  // The model was linted at promotion time; a strict re-verify here could
-  // wedge resume on a rule added since, so load as-is.
-  core::LoadOptions load;
-  load.verify = core::VerifyMode::kOff;
-  return core::make_model_scorer(core::load_model(is, load));
-}
-
 UpdatePipeline::UpdatePipeline(core::SwappableScorer& scorer,
                                store::TelemetryStore& store,
                                std::vector<smart::DriveRecord> failed_pool,
                                PipelineConfig config)
-    : scorer_(&scorer),
-      store_(&store),
+    : UpdatePipeline({Target{&store, &scorer}},
+                     [](std::size_t, const std::function<void()>& step) {
+                       step();
+                       return true;
+                     },
+                     std::move(failed_pool), std::move(config)) {}
+
+UpdatePipeline::UpdatePipeline(std::vector<Target> targets,
+                               RunOnTarget run_on,
+                               std::vector<smart::DriveRecord> failed_pool,
+                               PipelineConfig config)
+    : targets_(std::move(targets)),
+      run_on_(std::move(run_on)),
       failed_(std::move(failed_pool)),
       config_(std::move(config)),
-      scheduler_(config_.scheduler),
-      metrics_(make_pipeline_metrics(config_.metrics)) {
-  metrics_.generation->set(static_cast<double>(scorer_->generation()));
+      scheduler_(config_.scheduler) {
+  HDD_REQUIRE(!targets_.empty(), "update pipeline needs a target");
+  obs::Registry& reg = config_.metrics != nullptr ? *config_.metrics
+                                                  : obs::Registry::global();
+  m_cycles_ = &reg.counter("hdd_pipeline_retrain_cycles_total",
+                           "Retrain cycles that trained a candidate.");
+  m_promotions_ = &reg.counter("hdd_pipeline_promotions_total",
+                               "Candidates promoted to the live scorer.");
+  const char* reasons[] = {"lint", "guardrail", "no_data", "train_failed"};
+  for (std::size_t i = 0; i < m_rejections_.size(); ++i) {
+    m_rejections_[i] =
+        &reg.counter("hdd_pipeline_rejections_total",
+                     "Candidates rejected, by gate.", {{"reason", reasons[i]}});
+  }
+  m_generation_ = &reg.gauge("hdd_pipeline_generation",
+                             "Live model generation (0 = seed model).");
+  m_generation_->set(static_cast<double>(generation()));
+}
+
+std::uint64_t UpdatePipeline::generation() const {
+  std::uint64_t g = 0;
+  for (const Target& t : targets_) g = std::max(g, t.scorer->generation());
+  return g;
 }
 
 CycleResult UpdatePipeline::run_cycle(bool force) {
   const obs::ScopedSpan span("pipeline.cycle");
-  CycleResult r;
-  r.generation = scorer_->generation();
-  const std::uint64_t total = store_->sample_count();
-  const std::int64_t last = store_->last_hour();
+  CycleResult r = gate(force);
+  if (r.outcome == Outcome::kSkipped) return r;
+  if (r.candidate != nullptr) r.generation = promote(std::move(r.candidate));
+  last_ = r;
+  return r;
+}
+
+CycleResult UpdatePipeline::gate(bool force) {
+  std::uint64_t total = 0;
+  std::int64_t last = -1;
+  {
+    const obs::ScopedSpan span("pipeline.watermarks");
+    for (std::size_t k = 0; k < targets_.size(); ++k) {
+      (void)run_on_(k, [&] {
+        total += targets_[k].store->sample_count();
+        last = std::max(last, targets_[k].store->last_hour());
+      });
+    }
+  }
   if (!force && !scheduler_.due(total, last)) {
+    CycleResult r;
     r.outcome = Outcome::kSkipped;
+    r.generation = generation();
     return r;
   }
   const auto window = scheduler_.window_hours(std::max<std::int64_t>(last, 0));
-  const int weeks = static_cast<int>((window.second - window.first) / 168);
-  auto gate = train_and_gate(
-      store_->read_window(window.first, window.second - 1), failed_, weeks,
-      config_);
-  scheduler_.mark(total, last);
-  r.outcome = gate.outcome;
-  r.val_far = gate.val_far;
-  r.val_fdr = gate.val_fdr;
-  r.reason = std::move(gate.reason);
-  metrics_.record(r.outcome);
-  if (r.outcome == Outcome::kPromoted) {
-    std::ostringstream os;
-    gate.candidate->save(os);
-    const std::uint64_t next_gen = scorer_->generation() + 1;
-    // Journal-first promotion: once the record is durable the swap is a
-    // formality — a crash between the two resumes to `next_gen`.
-    store_->append_generation(next_gen, os.str());
-    scorer_->swap(std::move(gate.candidate), next_gen);
-    metrics_.generation->set(static_cast<double>(next_gen));
-    r.generation = next_gen;
-    log_debug() << "pipeline: promoted generation " << next_gen
-                << " (val FAR " << r.val_far << ", FDR " << r.val_fdr << ")";
-  } else if (r.outcome != Outcome::kSkipped) {
-    log_debug() << "pipeline: candidate " << outcome_name(r.outcome) << ": "
-                << r.reason;
+  std::vector<smart::DriveRecord> goods;
+  {
+    const obs::ScopedSpan span("pipeline.window");
+    for (std::size_t k = 0; k < targets_.size(); ++k) {
+      (void)run_on_(k, [&] {
+        auto part =
+            targets_[k].store->read_window(window.first, window.second - 1);
+        goods.insert(goods.end(), std::make_move_iterator(part.begin()),
+                     std::make_move_iterator(part.end()));
+      });
+    }
   }
-  last_ = r;
+  const int weeks = static_cast<int>((window.second - window.first) / 168);
+  CycleResult r = train_and_gate(std::move(goods), failed_, weeks, config_);
+  scheduler_.mark(total, last);
+  m_cycles_->inc();
+  if (r.outcome != Outcome::kPromoted) {
+    m_rejections_[static_cast<std::size_t>(r.outcome) -
+                  static_cast<std::size_t>(Outcome::kRejectedLint)]
+        ->inc();
+  }
+  r.generation = generation();
+  log_debug() << "pipeline: gate step " << outcome_name(r.outcome)
+              << " (val FAR " << r.val_far << ", FDR " << r.val_fdr << ")"
+              << (r.reason.empty() ? "" : ": " + r.reason);
   return r;
+}
+
+std::uint64_t UpdatePipeline::promote(
+    std::shared_ptr<const core::SampleScorer> candidate) {
+  const obs::ScopedSpan span("pipeline.promote");
+  std::ostringstream os;
+  candidate->save(os);
+  const std::string text = std::move(os).str();
+  const std::uint64_t next = generation() + 1;
+  // Journal-first: once every record is durable the swaps are a formality —
+  // a crash between the two resumes to `next`, and a crash after only some
+  // targets' records is healed by ShardEngine::resume()'s reconciliation.
+  for (std::size_t k = 0; k < targets_.size(); ++k) {
+    if (!run_on_(k, [&] {
+          targets_[k].store->append_generation(next, text);
+        })) {
+      log_warn() << "pipeline: target " << k
+                 << " unavailable; its generation record is deferred to "
+                    "restart reconciliation";
+    }
+  }
+  // swap() is safe against concurrent scoring calls.
+  for (const Target& t : targets_) t.scorer->swap(candidate, next);
+  m_promotions_->inc();
+  m_generation_->set(static_cast<double>(next));
+  log_debug() << "pipeline: promoted generation " << next;
+  return next;
 }
 
 }  // namespace hdd::pipeline

@@ -1,31 +1,35 @@
 // UpdatePipeline — the continuous model-update control loop (productionized
-// Section V-B3).
+// Section V-B3), and the only implementation of its retrain cycle.
 //
-// A monitoring node journals its fleet's telemetry into a TelemetryStore;
-// this pipeline periodically materializes the scheduler's training window
-// from that store, trains a candidate model, and promotes it into a live
-// SwappableScorer only if it clears two gates:
+// Each cycle reads the scheduler's watermarks and training window from the
+// journaled TelemetryStores, trains a candidate model, and promotes it into
+// the live SwappableScorers only if it clears two gates:
 //   1. lint  — the analysis:: static verifier finds no warning/error-level
 //              defect in the candidate (dead splits, unreachable leaves...);
 //   2. guard — FAR/FDR measured on a held-back validation slice stay inside
 //              the configured rails.
-// Promotion is journal-first: the generation record (store/format.h type 3)
-// is fsynced before the in-memory swap, so kill -9 between the two steps
-// resumes to the *new* generation — the swap is the only non-durable step
-// and it is idempotent from the journal. Rejected candidates are dropped on
-// the floor (counted, never scored). Shadow scoring of a candidate against
-// the incumbent on live traffic lives in core::FleetScorer::set_shadow; the
-// serve retrain loop (serve/retrain_loop.h) stitches both together.
+// The cycle runs over (store, scorer) targets: one for `autoretrain`,
+// perfbench and the offline tests; one per shard for the serve daemon's
+// RetrainLoop (serve/retrain_loop.h), which makes every store access on
+// that shard's worker. Promotion is journal-first: every target's
+// generation record (store/format.h type 3) is fsynced before any swap, so
+// kill -9 between the two steps resumes to the *new* generation. Rejected
+// candidates are counted, never scored.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/verifier.h"
+#include "core/model_io.h"
 #include "core/predictor.h"
 #include "core/swappable.h"
+#include "data/split.h"
 #include "pipeline/scheduler.h"
 #include "smart/drive.h"
 
@@ -83,31 +87,38 @@ struct PipelineConfig {
   obs::Registry* metrics = nullptr;
 };
 
-// The hdd_pipeline_* control-loop instruments (DESIGN.md §10). Shadow
-// divergence counters live on FleetScorer, not here.
-struct PipelineMetrics {
-  obs::Counter* cycles = nullptr;      // hdd_pipeline_retrain_cycles_total
-  obs::Counter* promotions = nullptr;  // hdd_pipeline_promotions_total
-  obs::Counter* rej_lint = nullptr;    // hdd_pipeline_rejections_total{...}
-  obs::Counter* rej_guardrail = nullptr;
-  obs::Counter* rej_no_data = nullptr;
-  obs::Counter* rej_train_failed = nullptr;
-  obs::Gauge* generation = nullptr;    // hdd_pipeline_generation
-
-  void record(Outcome o) const;
+// The training side and the validation side a candidate is trained and
+// judged on, each listing its good drives first, then its failed drives.
+struct HoldoutSplit {
+  data::DriveDataset train_ds;
+  data::DatasetSplit train;
+  data::DriveDataset val_ds;
+  data::DatasetSplit val;
 };
 
-PipelineMetrics make_pipeline_metrics(obs::Registry* registry);
+// Non-empty `train_goods` drives are wholly training data, non-empty
+// `val_goods` drives wholly validation data; failed_pool[i] trains for each
+// i in `train_failed` and validates for each non-empty i in `val_failed`
+// (the two parts of one seeded permutation). train_and_gate and
+// update::simulate_long_term both split this way.
+HoldoutSplit holdout_split(std::vector<smart::DriveRecord> train_goods,
+                           std::vector<smart::DriveRecord> val_goods,
+                           const std::vector<smart::DriveRecord>& failed_pool,
+                           std::span<const std::size_t> train_failed,
+                           std::span<const std::size_t> val_failed,
+                           const std::string& family);
 
-struct GateResult {
+// What a retrain cycle, or its gate step alone, did.
+struct CycleResult {
   Outcome outcome = Outcome::kNone;
-  // Non-null exactly when outcome == kPromoted (gates passed); the caller
-  // owns journaling + swapping it in.
-  std::shared_ptr<const core::SampleScorer> candidate;
+  std::uint64_t generation = 0;  // live generation after the cycle
   double val_far = 0.0;
   double val_fdr = 0.0;
   std::size_t train_rows = 0;
   std::string reason;  // human-readable rejection cause ("" when promoted)
+  // The model that passed the gates (outcome kPromoted), until the promote
+  // step takes it; null otherwise.
+  std::shared_ptr<const core::SampleScorer> candidate;
 };
 
 // Trains a candidate on a deterministic train_fraction split of `goods` +
@@ -115,53 +126,80 @@ struct GateResult {
 // `window_weeks` is the training window's width (scales the per-drive good
 // sampling density, matching update::simulate_long_term). Pure function of
 // its inputs — never touches a store or a live scorer.
-GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
-                          const std::vector<smart::DriveRecord>& failed_pool,
-                          int window_weeks, const PipelineConfig& config);
+CycleResult train_and_gate(std::vector<smart::DriveRecord> goods,
+                           const std::vector<smart::DriveRecord>& failed_pool,
+                           int window_weeks, const PipelineConfig& config);
 
-// Deserializes a journaled generation record's model text back into a
-// scorer (inverse of SampleScorer::save). Throws DataError on malformed
-// text.
-std::shared_ptr<const core::SampleScorer> load_generation_model(
-    const std::string& model_text);
+// Generation-record text back into a scorer lives in core (FleetRuntime's
+// restore and ShardEngine::resume() share it).
+using core::load_generation_model;
 
-struct CycleResult {
-  Outcome outcome = Outcome::kNone;
-  std::uint64_t generation = 0;  // live generation after the cycle
-  double val_far = 0.0;
-  double val_fdr = 0.0;
-  std::string reason;
+// One journal the cycle trains from (every drive in it is good telemetry)
+// and the live scorer it promotes into.
+struct Target {
+  store::TelemetryStore* store = nullptr;
+  core::SwappableScorer* scorer = nullptr;
 };
 
-// Store-backed pipeline over one TelemetryStore and one SwappableScorer
-// (the `autoretrain` CLI command and offline tests; the serve daemon runs
-// the multi-shard variant in serve/retrain_loop.h). Single-threaded by
-// contract — only the swap itself is concurrency-safe.
+// Runs `step` against target k's store and returns true, or returns false
+// without running it when target k is unavailable. The step's exceptions
+// reach the cycle.
+using RunOnTarget =
+    std::function<bool(std::size_t k, const std::function<void()>& step)>;
+
+// Single-threaded by contract — only the swap itself is concurrency-safe.
 class UpdatePipeline {
  public:
-  // All referenced objects must outlive the pipeline. Every drive in
-  // `store` is treated as good telemetry; `failed_pool` supplies the
-  // labeled failure records (the paper shares one failed set across all
-  // retrains).
+  // All referenced objects must outlive the pipeline. `failed_pool`
+  // supplies the labeled failure records (the paper shares one failed set
+  // across all retrains). This form has one target and calls straight
+  // into its store.
   UpdatePipeline(core::SwappableScorer& scorer, store::TelemetryStore& store,
                  std::vector<smart::DriveRecord> failed_pool,
                  PipelineConfig config);
+  // Several targets, every store access made through `run_on`; the window
+  // is the targets' drives in target order.
+  UpdatePipeline(std::vector<Target> targets, RunOnTarget run_on,
+                 std::vector<smart::DriveRecord> failed_pool,
+                 PipelineConfig config);
 
+  const PipelineConfig& config() const { return config_; }
   const RetrainScheduler& scheduler() const { return scheduler_; }
   const CycleResult& last_result() const { return last_; }
+  // The live generation: the newest across targets.
+  std::uint64_t generation() const;
 
-  // One scheduler tick: trains, gates and (maybe) promotes when due.
-  // `force` bypasses the due-check (offline `autoretrain --cycles`).
+  // One scheduler tick: the gate step, then the promote step for a
+  // candidate that passed. `force` bypasses the due-check (offline
+  // `autoretrain --cycles`).
   CycleResult run_cycle(bool force = false);
 
+  // The gate step: reads the watermarks and, when due or forced, the
+  // training window; trains and gates a candidate, marks the scheduler and
+  // counts the cycle. kSkipped when not due. On kPromoted (the gates
+  // passed) the result holds the candidate, not yet journaled or swapped.
+  CycleResult gate(bool force);
+
+  // The promote step, journal-first: every target's generation record is
+  // made durable, then every target swaps. Returns the new generation.
+  std::uint64_t promote(std::shared_ptr<const core::SampleScorer> candidate);
+
  private:
-  core::SwappableScorer* scorer_;
-  store::TelemetryStore* store_;
+  std::vector<Target> targets_;
+  RunOnTarget run_on_;
   std::vector<smart::DriveRecord> failed_;
   PipelineConfig config_;
   RetrainScheduler scheduler_;
-  PipelineMetrics metrics_;
   CycleResult last_;
+
+  // The hdd_pipeline_* instruments (DESIGN.md §10); shadow divergence
+  // counters live on FleetScorer.
+  obs::Counter* m_cycles_;
+  obs::Counter* m_promotions_;
+  // hdd_pipeline_rejections_total{reason}, in Outcome order from
+  // kRejectedLint.
+  std::array<obs::Counter*, 4> m_rejections_;
+  obs::Gauge* m_generation_;
 };
 
 }  // namespace hdd::pipeline

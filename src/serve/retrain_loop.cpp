@@ -1,35 +1,44 @@
 #include "serve/retrain_loop.h"
 
-#include <algorithm>
 #include <chrono>
-#include <iterator>
+#include <functional>
 #include <sstream>
 #include <utility>
 
 #include "common/error.h"
 #include "common/log.h"
 #include "core/runtime.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "serve/shard_engine.h"
-#include "store/telemetry_store.h"
 
 namespace hdd::serve {
+
+namespace {
+
+std::vector<pipeline::Target> shard_targets(ShardEngine& engine) {
+  std::vector<pipeline::Target> targets;
+  for (std::size_t k = 0; k < engine.shard_count(); ++k) {
+    core::FleetRuntime& shard = engine.shard(k);
+    HDD_REQUIRE(shard.swappable() != nullptr,
+                "retrain loop needs hot-swappable shard runtimes");
+    targets.push_back({&shard.store(), shard.swappable()});
+  }
+  return targets;
+}
+
+}  // namespace
 
 RetrainLoop::RetrainLoop(ShardEngine& engine, Server& server,
                          RetrainLoopConfig config)
     : engine_(&engine),
       server_(&server),
-      config_(std::move(config)),
-      scheduler_(config_.pipeline.scheduler),
-      metrics_(pipeline::make_pipeline_metrics(config_.pipeline.metrics)) {
-  for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
-    HDD_REQUIRE(engine_->shard(k).swappable() != nullptr,
-                "retrain loop needs hot-swappable shard runtimes");
-  }
-  metrics_.generation->set(static_cast<double>(engine_->max_generation()));
-}
+      poll_interval_ms_(config.poll_interval_ms),
+      pipeline_(shard_targets(engine),
+                [&server](std::size_t k, const std::function<void()>& step) {
+                  return server.run_on_shard(k, step);
+                },
+                std::move(config.failed_pool), std::move(config.pipeline)) {}
 
 RetrainLoop::~RetrainLoop() { stop(); }
 
@@ -53,7 +62,7 @@ void RetrainLoop::loop() {
       // deadline is absolute so spurious wakeups don't extend the wait.
       const auto deadline =
           std::chrono::steady_clock::now() +
-          std::chrono::milliseconds(config_.poll_interval_ms);
+          std::chrono::milliseconds(poll_interval_ms_);
       MutexLock lock(&stop_mu_);
       while (!stop_requested_ &&
              stop_cv_.wait_until(stop_mu_, deadline) !=
@@ -77,6 +86,10 @@ pipeline::CycleResult RetrainLoop::last_result() const {
 }
 
 void RetrainLoop::publish(const pipeline::CycleResult& r) {
+  log_info() << "retrain loop: " << pipeline::outcome_name(r.outcome)
+             << ", generation " << r.generation << " (val FAR " << r.val_far
+             << ", FDR " << r.val_fdr << ")"
+             << (r.reason.empty() ? "" : ": " + r.reason);
   {
     MutexLock lock(&mu_);
     last_ = r;
@@ -95,147 +108,63 @@ std::uint64_t RetrainLoop::fleet_shadow_samples() const {
 }
 
 pipeline::CycleResult RetrainLoop::tick(bool force) {
-  // Each cycle is its own trace (never a child of whatever request
-  // context happens to linger on the caller's thread).
+  // Each tick is its own trace (never a child of whatever request context
+  // happens to linger on the caller's thread).
   const obs::WithTraceContext fresh(obs::TraceContext{});
-  const obs::ScopedSpan cycle("retrain.cycle");
+  const obs::ScopedSpan span("retrain.tick");
   if (pending_ != nullptr) return maybe_promote(force);
 
-  // Scheduler watermarks, each shard read on its own worker.
-  std::uint64_t total = 0;
-  std::int64_t last = -1;
-  {
-    const obs::ScopedSpan span("retrain.watermarks");
+  pipeline::CycleResult r = pipeline_.gate(force);
+  if (r.outcome == pipeline::Outcome::kSkipped) return r;
+  const std::uint64_t min_shadow = pipeline_.config().min_shadow_samples;
+  if (r.candidate != nullptr && min_shadow == 0) {
+    promote(std::move(r.candidate), r);
+  } else if (r.candidate != nullptr) {
+    // Gates passed but the candidate must first prove itself on live
+    // traffic: install it as every shard's shadow and defer promotion.
+    pending_ = std::move(r.candidate);
+    pending_far_ = r.val_far;
+    pending_fdr_ = r.val_fdr;
+    shadow_baseline_ = fleet_shadow_samples();
     for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
-      (void)server_->run_on_shard(k, [&] {
-        const store::TelemetryStore& st = engine_->shard(k).store();
-        total += st.sample_count();
-        last = std::max(last, st.last_hour());
-      });
+      engine_->shard(k).fleet().set_shadow(pending_);
     }
-  }
-
-  pipeline::CycleResult r;
-  r.generation = engine_->max_generation();
-  if (!force && !scheduler_.due(total, last)) {
     r.outcome = pipeline::Outcome::kSkipped;
-    return r;
+    r.reason = "shadow-scoring candidate before promotion";
   }
-
-  // Materialize the training window from every shard's journal.
-  const auto window =
-      scheduler_.window_hours(std::max<std::int64_t>(last, 0));
-  std::vector<smart::DriveRecord> goods;
-  {
-    const obs::ScopedSpan span("retrain.materialize");
-    for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
-      (void)server_->run_on_shard(k, [&] {
-        auto shard_goods = engine_->shard(k).store().read_window(
-            window.first, window.second - 1);
-        goods.insert(goods.end(), std::make_move_iterator(shard_goods.begin()),
-                     std::make_move_iterator(shard_goods.end()));
-      });
-    }
-  }
-  const int weeks = static_cast<int>((window.second - window.first) / 168);
-  auto gate = pipeline::train_and_gate(std::move(goods), config_.failed_pool,
-                                       weeks, config_.pipeline);
-  scheduler_.mark(total, last);
-
-  r.outcome = gate.outcome;
-  r.val_far = gate.val_far;
-  r.val_fdr = gate.val_fdr;
-  r.reason = std::move(gate.reason);
-  if (gate.outcome != pipeline::Outcome::kPromoted) {
-    metrics_.record(gate.outcome);
-    log_info() << "retrain loop: candidate "
-               << pipeline::outcome_name(gate.outcome)
-               << (r.reason.empty() ? "" : ": " + r.reason);
-    publish(r);
-    return r;
-  }
-
-  if (config_.pipeline.min_shadow_samples == 0) {
-    metrics_.record(pipeline::Outcome::kPromoted);
-    promote(std::move(gate.candidate), r);
-    publish(r);
-    return r;
-  }
-
-  // Gates passed but the candidate must first prove itself on live
-  // traffic: install it as every shard's shadow and defer promotion.
-  metrics_.cycles->inc();
-  pending_ = std::move(gate.candidate);
-  pending_far_ = r.val_far;
-  pending_fdr_ = r.val_fdr;
-  shadow_baseline_ = fleet_shadow_samples();
-  for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
-    engine_->shard(k).fleet().set_shadow(pending_);
-  }
-  r.outcome = pipeline::Outcome::kSkipped;
-  r.reason = "shadow-scoring candidate before promotion";
-  log_info() << "retrain loop: candidate passed gates; shadow-scoring "
-             << config_.pipeline.min_shadow_samples
-             << " samples before promotion";
   publish(r);
   return r;
 }
 
 pipeline::CycleResult RetrainLoop::maybe_promote(bool force) {
   pipeline::CycleResult r;
-  r.generation = engine_->max_generation();
+  r.generation = pipeline_.generation();
   r.val_far = pending_far_;
   r.val_fdr = pending_fdr_;
   const std::uint64_t scored = fleet_shadow_samples() - shadow_baseline_;
-  if (!force && scored < config_.pipeline.min_shadow_samples) {
+  const std::uint64_t min_shadow = pipeline_.config().min_shadow_samples;
+  if (!force && scored < min_shadow) {
     r.outcome = pipeline::Outcome::kSkipped;
     std::ostringstream os;
-    os << "shadowing: " << scored << "/"
-       << config_.pipeline.min_shadow_samples << " samples";
+    os << "shadowing: " << scored << "/" << min_shadow << " samples";
     r.reason = os.str();
     return r;
   }
-  metrics_.promotions->inc();
-  promote(std::move(pending_), r);
+  // A copy, so a promote step that throws leaves the candidate pending and
+  // the next tick retries it.
+  promote(pending_, r);
   pending_ = nullptr;
   publish(r);
   return r;
 }
 
-void RetrainLoop::promote(
-    std::shared_ptr<const core::SampleScorer> candidate,
-    pipeline::CycleResult& r) {
-  const obs::ScopedSpan span("retrain.promote");
-  std::ostringstream os;
-  candidate->save(os);
-  const std::string text = std::move(os).str();
-  const std::uint64_t next = engine_->max_generation() + 1;
-
-  // Journal-first, shard by shard, each append on that shard's worker so
-  // it serializes with the shard's ingest writes. A kill -9 after a prefix
-  // of shards leaves mixed generations on disk; ShardEngine::resume()
-  // reconciles to the newest on restart.
+void RetrainLoop::promote(std::shared_ptr<const core::SampleScorer> candidate,
+                          pipeline::CycleResult& r) {
+  r.generation = pipeline_.promote(std::move(candidate));
+  r.outcome = pipeline::Outcome::kPromoted;
   for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
-    const bool ok = server_->run_on_shard(k, [&] {
-      engine_->shard(k).store().append_generation(next, text);
-    });
-    if (!ok) {
-      log_warn() << "retrain loop: shard " << k
-                 << " unavailable; its generation record is deferred to "
-                    "restart reconciliation";
-    }
-  }
-  // Only after the records are durable does the fleet start scoring with
-  // the new model; swap() is safe against concurrent scoring calls.
-  for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
-    engine_->shard(k).swappable()->swap(candidate, next);
     engine_->shard(k).fleet().set_shadow(nullptr);
   }
-  metrics_.generation->set(static_cast<double>(next));
-  r.outcome = pipeline::Outcome::kPromoted;
-  r.generation = next;
-  log_info() << "retrain loop: promoted generation " << next << " (val FAR "
-             << r.val_far << ", FDR " << r.val_fdr << ")";
 }
 
 }  // namespace hdd::serve

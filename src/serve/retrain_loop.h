@@ -1,11 +1,13 @@
 // RetrainLoop — the serve daemon's continuous model-update controller.
 //
-// A background thread runs the pipeline::RetrainScheduler against the
-// daemon's own journals: on each due tick it materializes the training
-// window from every shard's TelemetryStore (one read_window pass per
-// shard, on that shard's worker, so reads never race ingest), trains +
-// gates one candidate via pipeline::train_and_gate, and promotes it
-// fleet-wide.
+// A background thread ticks a pipeline::UpdatePipeline whose targets are
+// the daemon's shards (each shard's TelemetryStore and SwappableScorer).
+// The pipeline runs the whole cycle — watermarks, the training window,
+// train_and_gate, the scheduler, the counters and the journal-first
+// promotion — with every store access made through Server::run_on_shard,
+// so reads and generation records serialize with that shard's ingest.
+// This loop adds only what the daemon needs around it: the thread, the
+// shadow deferral below, and publishing each outcome to the stats op.
 //
 // Promotion state machine (DESIGN.md §10):
 //
@@ -18,10 +20,8 @@
 // "shadowing" installs the candidate as every shard's FleetScorer shadow:
 // it scores live traffic next to the incumbent (divergence counters in
 // /metrics) but cannot raise real alarms; promotion waits until the fleet
-// has shadow-scored the configured sample count. Promotion itself is
-// journal-first and shard-by-shard: each shard's generation record is
-// appended on that shard's worker (serialized with its ingest writes), and
-// only then is the SwappableScorer swapped — a kill -9 anywhere in between
+// has shadow-scored the configured sample count. Promotion journals every
+// shard's generation record before any shard swaps; a kill -9 in between
 // is healed by ShardEngine::resume()'s generation reconciliation.
 #pragma once
 
@@ -78,6 +78,7 @@ class RetrainLoop {
 
  private:
   pipeline::CycleResult maybe_promote(bool force);
+  // The pipeline's promote step, then every shard drops its shadow.
   void promote(std::shared_ptr<const core::SampleScorer> candidate,
                pipeline::CycleResult& r);
   void publish(const pipeline::CycleResult& r);
@@ -86,9 +87,8 @@ class RetrainLoop {
 
   ShardEngine* engine_;
   Server* server_;
-  RetrainLoopConfig config_;
-  pipeline::RetrainScheduler scheduler_;
-  pipeline::PipelineMetrics metrics_;
+  int poll_interval_ms_;
+  pipeline::UpdatePipeline pipeline_;
 
   // Shadowing state; only the tick caller touches it.
   std::shared_ptr<const core::SampleScorer> pending_;

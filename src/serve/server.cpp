@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -580,15 +581,24 @@ std::string Server::debug_vars_json() {
 bool Server::run_on_shard(std::size_t k, const std::function<void()>& task) {
   Completion comp;
   comp.pending = 1;
-  const bool posted = post(k, [&task, &comp] {
+  // A task's error belongs to its caller; left to escape, it would end the
+  // worker thread and with it the daemon. io::CrashPoint is no
+  // std::exception, so it still reaches worker_loop and fences the shard.
+  std::exception_ptr error;
+  const bool posted = post(k, [&task, &comp, &error] {
     DoneGuard g{comp};
-    task();
+    try {
+      task();
+    } catch (const std::exception&) {
+      error = std::current_exception();
+    }
   });
   if (!posted) {
     comp.done();
     return false;
   }
   comp.wait();
+  if (error != nullptr) std::rethrow_exception(error);
   return true;
 }
 

@@ -6,8 +6,8 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "core/model_io.h"
 #include "obs/trace.h"
-#include "pipeline/pipeline.h"
 
 namespace fs = std::filesystem;
 
@@ -105,7 +105,8 @@ std::size_t ShardEngine::resume() {
     }
   }
   if (best != nullptr) {
-    auto model = pipeline::load_generation_model(best->model_text);
+    const std::shared_ptr<const core::SampleScorer> model =
+        core::load_generation_model(best->model_text);
     for (Shard& sh : shards_) {
       if (sh.runtime->swappable() == nullptr) continue;
       if (sh.runtime->model_generation() >= newest) continue;

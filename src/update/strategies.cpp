@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "pipeline/pipeline.h"
 #include "store/telemetry_store.h"
 
 namespace hdd::update {
@@ -49,17 +51,8 @@ std::size_t ingest_good_telemetry(const sim::FleetConfig& fleet,
                                   store::TelemetryStore& store) {
   HDD_REQUIRE(fleet.families.size() == 1,
               "ingest_good_telemetry expects exactly one family");
-  const sim::FamilySpec& fam = fleet.families.front();
-  const sim::TraceGenerator gen(fam.profile, fleet.seed, 0);
-  const std::int64_t horizon =
-      static_cast<std::int64_t>(fleet.observation_weeks) * 168;
-  std::vector<smart::DriveRecord> drives(fam.n_good);
-  ThreadPool::global().parallel_for(0, fam.n_good, [&](std::size_t i) {
-    const auto latent = gen.make_latent(i, /*failed=*/false, horizon);
-    drives[i] =
-        gen.materialize(latent, 0, horizon - 1, fleet.sample_interval_hours);
-    drives[i].serial = fam.profile.name + "-G" + std::to_string(i);
-  });
+  const auto drives = GeneratorTelemetrySource(fleet).good_window(
+      0, fleet.observation_weeks);
   std::size_t appended = 0;
   for (const smart::DriveRecord& d : drives) {
     const std::uint32_t id = store.register_drive(d.serial);
@@ -72,19 +65,6 @@ std::size_t ingest_good_telemetry(const sim::FleetConfig& fleet,
   store.flush();
   return appended;
 }
-
-namespace {
-
-// One implementation of the strategy stepping, shared with the live
-// pipeline (pipeline/scheduler.h): the weeks a strategy trains on before
-// predicting `test_week`, as [from, to).
-std::pair<int, int> training_range(const LongTermConfig& config,
-                                   int test_week) {
-  return pipeline::training_range(config.strategy, config.replace_cycle_weeks,
-                                  test_week);
-}
-
-}  // namespace
 
 std::vector<WeeklyResult> simulate_long_term(const sim::FleetConfig& fleet,
                                              const ModelTrainer& trainer,
@@ -127,35 +107,28 @@ std::vector<WeeklyResult> simulate_long_term(const sim::FleetConfig& fleet,
   const auto perm = rng.permutation(failed.size());
   const auto n_train_failed = static_cast<std::size_t>(std::round(
       static_cast<double>(failed.size()) * config.train_fraction));
+  const std::span<const std::size_t> failed_order(perm);
 
   std::vector<WeeklyResult> results;
   eval::SampleModel model;
   std::pair<int, int> trained_range{-1, -1};
 
   for (int week = 2; week <= fleet.observation_weeks; ++week) {
-    const auto range = training_range(config, week);
+    // The strategy's training weeks, stepped by the same implementation as
+    // the live pipeline (pipeline/scheduler.h).
+    const auto range = pipeline::training_range(
+        config.strategy, config.replace_cycle_weeks, week);
     if (range != trained_range) {
       // (Re)train on the strategy's window.
-      data::DriveDataset train_ds;
-      train_ds.family_names = {fam.profile.name};
-      data::DatasetSplit split;
-      auto goods = source.good_window(range.first, range.second);
-      for (auto& g : goods) {
-        if (g.empty()) continue;
-        split.good_drives.push_back(train_ds.drives.size());
-        split.good_test_begin.push_back(g.samples.size());  // all train
-        train_ds.drives.push_back(std::move(g));
-      }
-      for (std::size_t k = 0; k < n_train_failed; ++k) {
-        split.train_failed.push_back(train_ds.drives.size());
-        train_ds.drives.push_back(failed[perm[k]]);
-      }
-
+      const auto train = pipeline::holdout_split(
+          source.good_window(range.first, range.second), {}, failed,
+          failed_order.first(n_train_failed), {}, fam.profile.name);
       data::TrainingConfig tc = config.training;
       // Keep the per-week good sampling density constant as windows grow.
       tc.good_samples_per_drive = config.training.good_samples_per_drive *
                                   (range.second - range.first);
-      const auto matrix = data::build_training_matrix(train_ds, split, tc);
+      const auto matrix =
+          data::build_training_matrix(train.train_ds, train.train, tc);
       model = trainer(matrix);
       trained_range = range;
       log_debug() << "trained " << strategy_name(config.strategy)
@@ -164,24 +137,12 @@ std::vector<WeeklyResult> simulate_long_term(const sim::FleetConfig& fleet,
     }
 
     // Test on week `week` (1-based: hours [(week-1)*168, week*168)).
-    data::DriveDataset test_ds;
-    test_ds.family_names = {fam.profile.name};
-    data::DatasetSplit split;
-    auto goods = source.good_window(week - 1, week);
-    for (auto& g : goods) {
-      if (g.empty()) continue;
-      split.good_drives.push_back(test_ds.drives.size());
-      split.good_test_begin.push_back(0);  // the whole week is test data
-      test_ds.drives.push_back(std::move(g));
-    }
-    for (std::size_t k = n_train_failed; k < failed.size(); ++k) {
-      if (failed[perm[k]].empty()) continue;
-      split.test_failed.push_back(test_ds.drives.size());
-      test_ds.drives.push_back(failed[perm[k]]);
-    }
-
-    const auto result = eval::evaluate(test_ds, split, config.training.features,
-                                       model, config.vote);
+    const auto test = pipeline::holdout_split(
+        {}, source.good_window(week - 1, week), failed, {},
+        failed_order.subspan(n_train_failed), fam.profile.name);
+    const auto result = eval::evaluate(test.val_ds, test.val,
+                                       config.training.features, model,
+                                       config.vote);
     results.push_back({week, result.far(), result.fdr()});
   }
   return results;

@@ -328,6 +328,25 @@ TEST_F(CoreFixture, HealthThresholdTradesOffDetection) {
   EXPECT_GE(loose.far(), strict.far());
 }
 
+TEST_F(CoreFixture, HealthEvaluateMatchesScalarEvaluate) {
+  HealthDegreeModel model;
+  model.fit(*fleet_, *split_);
+  const auto& features = model.config().ct_config.training.features;
+  for (const double threshold : {-0.6, 0.0}) {
+    const auto batched = model.evaluate(*fleet_, *split_, threshold);
+    const auto scalar = eval::evaluate(
+        *fleet_, *split_, features, model.sample_model(),
+        {.voters = model.config().voters,
+         .average_mode = true,
+         .threshold = threshold});
+    EXPECT_EQ(batched.n_good, scalar.n_good) << threshold;
+    EXPECT_EQ(batched.n_failed, scalar.n_failed) << threshold;
+    EXPECT_EQ(batched.false_alarms, scalar.false_alarms) << threshold;
+    EXPECT_EQ(batched.detections, scalar.detections) << threshold;
+    EXPECT_EQ(batched.tia_hours, scalar.tia_hours) << threshold;
+  }
+}
+
 TEST(HealthConfig, Validation) {
   HealthModelConfig cfg;
   cfg.global_window_hours = 0;

@@ -5,7 +5,10 @@
 // promoted generation fleet-wide, guardrail rejections leaving the
 // incumbent untouched, the shadow-then-promote deferral, and
 // ShardEngine::resume()'s generation reconciliation after a promotion that
-// only reached a subset of shards (the crash-mid-promotion heal).
+// only reached a subset of shards (the crash-mid-promotion heal). The
+// equivalence tests pin the daemon's cycle to the single-store
+// UpdatePipeline cycle: the same candidate text, validation rates,
+// outcome, reason and hdd_pipeline_* totals from the same drives.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +22,9 @@
 #include "common/log.h"
 #include "core/predictor.h"
 #include "core/runtime.h"
+#include "core/swappable.h"
+#include "io/env.h"
+#include "io/fault_env.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
 #include "serve/client.h"
@@ -78,6 +84,26 @@ std::vector<smart::DriveRecord> failure_pool() {
     out.push_back(std::move(rec));
   }
   return out;
+}
+
+// The hdd_pipeline_* counter totals a registry holds.
+struct PipelineTotals {
+  std::uint64_t cycles = 0;
+  std::uint64_t promotions = 0;
+  std::uint64_t rejections = 0;
+  bool operator==(const PipelineTotals&) const = default;
+};
+
+PipelineTotals pipeline_totals(obs::Registry& reg) {
+  PipelineTotals t;
+  t.cycles = reg.counter("hdd_pipeline_retrain_cycles_total", "").value();
+  t.promotions = reg.counter("hdd_pipeline_promotions_total", "").value();
+  for (const char* reason : {"lint", "guardrail", "no_data", "train_failed"}) {
+    t.rejections += reg.counter("hdd_pipeline_rejections_total", "",
+                                {{"reason", reason}})
+                        .value();
+  }
+  return t;
 }
 
 pipeline::PipelineConfig pipeline_config(obs::Registry* reg) {
@@ -145,8 +171,57 @@ class RetrainLoopTest : public ::testing::Test {
     }
   }
 
+  // One store holding the good drives of `engine`'s shards over
+  // [0, hours), registered in shard order (shard 0's drives first, each
+  // shard's in ingest order) — the window a multi-shard cycle reads.
+  void fill_in_shard_order(store::TelemetryStore& st,
+                           const ShardEngine& engine, std::int64_t hours) {
+    for (std::size_t k = 0; k < engine.shard_count(); ++k) {
+      for (std::uint32_t d = 0; d < kGoods; ++d) {
+        if (engine.shard_of(good_serial(d)) != k) continue;
+        const auto id = st.register_drive(good_serial(d));
+        for (std::int64_t h = 0; h < hours; ++h) {
+          st.append(id, sample_at(d, h, 0.8f));
+        }
+      }
+    }
+    st.flush();
+  }
+
+  // A forced single-store UpdatePipeline cycle over the same drives.
+  pipeline::CycleResult single_store_cycle(const ShardEngine& engine,
+                                           pipeline::PipelineConfig pc,
+                                           store::TelemetryStore& st) {
+    fill_in_shard_order(st, engine, kWeek);
+    core::SwappableScorer slot(seed_, 0);
+    pipeline::UpdatePipeline pipe(slot, st, failure_pool(), std::move(pc));
+    return pipe.run_cycle(/*force=*/true);
+  }
+
   fs::path base_dir_;
   std::shared_ptr<const core::SampleScorer> seed_;
+};
+
+// Opens the files under `dir` through `faulty` and everything else through
+// the posix env: one shard's store on a fault plan, the rest healthy.
+class OneShardFaultEnv final : public io::EnvWrapper {
+ public:
+  OneShardFaultEnv(io::Env& faulty, std::string dir)
+      : io::EnvWrapper(io::Env::posix()),
+        faulty_(&faulty),
+        dir_(std::move(dir)) {}
+
+  io::IoStatus new_append_file(const std::string& path, bool truncate,
+                               std::unique_ptr<io::File>& out) override {
+    if (path.rfind(dir_, 0) == 0) {
+      return faulty_->new_append_file(path, truncate, out);
+    }
+    return io::EnvWrapper::new_append_file(path, truncate, out);
+  }
+
+ private:
+  io::Env* faulty_;
+  std::string dir_;
 };
 
 TEST_F(RetrainLoopTest, ForcedTickPromotesFleetWide) {
@@ -260,6 +335,146 @@ TEST_F(RetrainLoopTest, ShadowsBeforePromoting) {
   EXPECT_FALSE(loop.shadowing());
   EXPECT_EQ(engine.max_generation(), 1u);
   EXPECT_EQ(reg.counter("hdd_pipeline_promotions_total", "").value(), 1u);
+  server.stop();
+}
+
+TEST_F(RetrainLoopTest, ShadowThenPromoteCountsOneCycle) {
+  obs::Registry reg;
+  ShardEngine engine(engine_config(2, &reg));
+  ServeOptions so;
+  so.metrics = &reg;
+  Server server(engine, so);
+  server.start();
+  RetrainLoopConfig lc;
+  lc.pipeline = pipeline_config(&reg);
+  lc.pipeline.min_shadow_samples = 50;
+  lc.failed_pool = failure_pool();
+  RetrainLoop loop(engine, server, std::move(lc));
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  ingest_goods(client, 0, kWeek);
+
+  // The gated candidate counts as a cycle when it starts shadowing ...
+  EXPECT_EQ(loop.tick(/*force=*/true).outcome, pipeline::Outcome::kSkipped);
+  EXPECT_EQ(pipeline_totals(reg), (PipelineTotals{1, 0, 0}));
+  // ... and as a promotion when it is swapped in, not as a second cycle.
+  ingest_goods(client, kWeek, kWeek + 10);
+  EXPECT_EQ(loop.tick(/*force=*/false).outcome,
+            pipeline::Outcome::kPromoted);
+  EXPECT_EQ(pipeline_totals(reg), (PipelineTotals{1, 1, 0}));
+  EXPECT_EQ(engine.max_generation(), 1u);
+  server.stop();
+}
+
+TEST_F(RetrainLoopTest, ForcedTickMatchesSingleStoreCycle) {
+  obs::Registry reg;
+  ShardEngine engine(engine_config(2, &reg));
+  ServeOptions so;
+  so.metrics = &reg;
+  Server server(engine, so);
+  server.start();
+  RetrainLoopConfig lc;
+  lc.pipeline = pipeline_config(&reg);
+  lc.failed_pool = failure_pool();
+  RetrainLoop loop(engine, server, std::move(lc));
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  ingest_goods(client, 0, kWeek);
+  const auto served = loop.tick(/*force=*/true);
+  server.stop();
+
+  obs::Registry single_reg;
+  store::TelemetryStore st((base_dir_ / "single").string());
+  const auto single =
+      single_store_cycle(engine, pipeline_config(&single_reg), st);
+
+  ASSERT_EQ(served.outcome, pipeline::Outcome::kPromoted) << served.reason;
+  ASSERT_EQ(single.outcome, pipeline::Outcome::kPromoted) << single.reason;
+  EXPECT_EQ(served.generation, single.generation);
+  EXPECT_EQ(served.val_far, single.val_far);
+  EXPECT_EQ(served.val_fdr, single.val_fdr);
+  ASSERT_TRUE(st.latest_generation().has_value());
+  for (std::size_t k = 0; k < engine.shard_count(); ++k) {
+    ASSERT_TRUE(engine.shard(k).store().latest_generation().has_value());
+    EXPECT_EQ(engine.shard(k).store().latest_generation()->model_text,
+              st.latest_generation()->model_text)
+        << "shard " << k;
+  }
+  EXPECT_EQ(pipeline_totals(reg), (PipelineTotals{1, 1, 0}));
+  EXPECT_EQ(pipeline_totals(single_reg), (PipelineTotals{1, 1, 0}));
+}
+
+TEST_F(RetrainLoopTest, RejectionMatchesSingleStoreCycle) {
+  obs::Registry reg;
+  ShardEngine engine(engine_config(2, &reg));
+  ServeOptions so;
+  so.metrics = &reg;
+  Server server(engine, so);
+  server.start();
+  RetrainLoopConfig lc;
+  lc.pipeline = pipeline_config(&reg);
+  lc.pipeline.guardrail.min_fdr = 1.01;  // unsatisfiable rail
+  lc.failed_pool = failure_pool();
+  RetrainLoop loop(engine, server, std::move(lc));
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  ingest_goods(client, 0, kWeek);
+  const auto served = loop.tick(/*force=*/true);
+  server.stop();
+
+  obs::Registry single_reg;
+  auto pc = pipeline_config(&single_reg);
+  pc.guardrail.min_fdr = 1.01;
+  store::TelemetryStore st((base_dir_ / "single").string());
+  const auto single = single_store_cycle(engine, std::move(pc), st);
+
+  EXPECT_EQ(served.outcome, pipeline::Outcome::kRejectedGuardrail);
+  EXPECT_EQ(single.outcome, served.outcome);
+  EXPECT_EQ(single.reason, served.reason);
+  EXPECT_FALSE(served.reason.empty());
+  EXPECT_EQ(served.val_far, single.val_far);
+  EXPECT_EQ(served.val_fdr, single.val_fdr);
+  EXPECT_FALSE(st.latest_generation().has_value());
+  EXPECT_EQ(pipeline_totals(reg), (PipelineTotals{1, 0, 1}));
+  EXPECT_EQ(pipeline_totals(single_reg), (PipelineTotals{1, 0, 1}));
+}
+
+TEST_F(RetrainLoopTest, FailedGenerationRecordKeepsEveryShardOnIncumbent) {
+  obs::Registry reg;
+  // Shard 1's first fsync — its generation record — fails permanently.
+  io::FaultPlan plan;
+  plan.fail_fsync_n = 1;
+  plan.fsync_error = io::ErrorClass::kPermanent;
+  io::FaultEnv faulty(io::Env::posix(), plan, &reg);
+  OneShardFaultEnv env(faulty, (base_dir_ / "s" / "shard-1").string());
+  ShardEngineConfig ec = engine_config(2, &reg);
+  ec.runtime.store.env = &env;
+  ShardEngine engine(ec);
+  ServeOptions so;
+  so.metrics = &reg;
+  Server server(engine, so);
+  server.start();
+  RetrainLoopConfig lc;
+  lc.pipeline = pipeline_config(&reg);
+  lc.failed_pool = failure_pool();
+  RetrainLoop loop(engine, server, std::move(lc));
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  ingest_goods(client, 0, kWeek);
+
+  EXPECT_THROW((void)loop.tick(/*force=*/true), DataError);
+  EXPECT_EQ(faulty.faults_injected(), 1u);
+  // Journal-first: no shard swapped, because one record never became
+  // durable.
+  EXPECT_EQ(engine.max_generation(), 0u);
+  for (std::size_t k = 0; k < engine.shard_count(); ++k) {
+    EXPECT_EQ(engine.shard(k).model_generation(), 0u) << "shard " << k;
+  }
+  EXPECT_FALSE(engine.shard(1).store().latest_generation().has_value());
+  // The daemon is still up and answering.
+  const auto st = client.stats();
+  EXPECT_EQ(st.generation, 0u);
+  EXPECT_EQ(st.samples, static_cast<std::uint64_t>(kGoods) * kWeek);
   server.stop();
 }
 

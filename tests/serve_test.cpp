@@ -474,6 +474,38 @@ TEST_F(ServeTest, ServerEndToEnd) {
   EXPECT_EQ(resumed.stats().alarms, st.alarms);
 }
 
+TEST_F(ServeTest, RunOnShardRethrowsTaskErrors) {
+  obs::Registry reg;
+  ShardEngine engine(engine_config(base_dir_ / "s", 2, &scorer_, &reg));
+  ServeOptions so;
+  so.metrics = &reg;
+  Server server(engine, so);
+  server.start();
+
+  // A store error inside a task reaches the caller instead of escaping
+  // the shard worker thread.
+  for (std::size_t k = 0; k < engine.shard_count(); ++k) {
+    EXPECT_THROW((void)server.run_on_shard(
+                     k, [] { throw DataError("injected store error"); }),
+                 DataError)
+        << "shard " << k;
+  }
+
+  // Both workers survived: every shard still runs tasks and serves ingest.
+  bool ran = false;
+  EXPECT_TRUE(server.run_on_shard(1, [&ran] { ran = true; }));
+  EXPECT_TRUE(ran);
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    const auto r = client.ingest(batch_for_drive(d, 0, kHours));
+    EXPECT_EQ(r.accepted, static_cast<std::uint64_t>(kHours));
+  }
+  EXPECT_EQ(client.stats().samples,
+            static_cast<std::uint64_t>(kDrives) * kHours);
+  server.stop();
+}
+
 TEST_F(ServeTest, ServerRejectsMalformedFrame) {
   ShardEngine engine(engine_config(base_dir_ / "s", 1, &scorer_, nullptr));
   obs::Registry reg;

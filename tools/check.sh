@@ -295,10 +295,10 @@ tools/fuzz.sh --regress "${JOBS}"
 # TSan-clean, so hold them to that.
 echo "=== configure build-tsan (-DHDD_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DHDD_SANITIZE=thread
-echo "=== build build-tsan (obs_test trace_test serve_test pipeline_test retrain_loop_test lock_order_test fleet_test eval_test adversarial_test durable_fleet_test) ==="
+echo "=== build build-tsan (obs_test trace_test serve_test pipeline_test retrain_loop_test update_test lock_order_test fleet_test eval_test adversarial_test durable_fleet_test) ==="
 cmake --build build-tsan -j "${JOBS}" \
     --target obs_test trace_test serve_test pipeline_test \
-        retrain_loop_test lock_order_test fleet_test eval_test \
+        retrain_loop_test update_test lock_order_test fleet_test eval_test \
         adversarial_test durable_fleet_test
 echo "=== ctest build-tsan (labels: obs serve pipeline concurrency eval) ==="
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
