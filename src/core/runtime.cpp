@@ -13,7 +13,7 @@ FleetRuntime::FleetRuntime(FleetRuntimeConfig config) {
               "exactly one of model_path and scorer must be set");
   if (!config.model_path.empty()) {
     owned_scorer_ =
-        make_tree_scorer(load_tree_file(config.model_path, config.load));
+        make_model_scorer(load_model_file(config.model_path, config.load));
     scorer_ = owned_scorer_.get();
   } else {
     scorer_ = config.scorer;

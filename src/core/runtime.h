@@ -6,7 +6,7 @@
 // QuarantinePolicy choice — duplicated across the CLI commands, the serve
 // daemon's shards and the examples, each with its own subtle defaults.
 // FleetRuntime collapses that into one config consumed everywhere: give it
-// a model (a persisted tree file or an already-built SampleScorer) and
+// a model (a persisted model file or an already-built SampleScorer) and
 // optionally a store directory, and it owns the loaded model, the store
 // and the scorer, attached and ready to resume.
 #pragma once
@@ -23,9 +23,10 @@
 namespace hdd::core {
 
 struct FleetRuntimeConfig {
-  // The model: exactly one of these. `model_path` is a persisted decision
-  // tree loaded under `load` (verify-on-load); `scorer` is any external
-  // SampleScorer, not owned, which must outlive the runtime.
+  // The model: exactly one of these. `model_path` is any persisted model
+  // (tree, forest or MLP; core::load_model_file) loaded under `load`
+  // (verify-on-load); `scorer` is any external SampleScorer, not owned,
+  // which must outlive the runtime.
   std::string model_path;
   const SampleScorer* scorer = nullptr;
   LoadOptions load;

@@ -23,6 +23,7 @@ AdaBoost AdaBoost::from_members(std::vector<Member> members) {
   }
   AdaBoost boost;
   boost.members_ = std::move(members);
+  boost.pack();
   return boost;
 }
 
@@ -80,36 +81,26 @@ void AdaBoost::fit(const data::DataMatrix& m, const AdaBoostConfig& config) {
   }
   HDD_REQUIRE(!members_.empty(),
               "AdaBoost found no weak learner better than chance");
+  pack();
 }
 
 double AdaBoost::predict(std::span<const float> x) const {
   HDD_ASSERT_MSG(trained(), "predict on an untrained AdaBoost");
-  double vote = 0.0, norm = 0.0;
-  for (const Member& member : members_) {
-    vote += member.alpha *
-            static_cast<double>(member.tree.predict_label(x));
-    norm += member.alpha;
-  }
-  return norm > 0.0 ? vote / norm : 0.0;
+  return packed_.predict(x);
 }
 
 void AdaBoost::predict_batch(std::span<const float> xs,
                              std::span<double> out) const {
   HDD_ASSERT_MSG(trained(), "predict_batch on an untrained AdaBoost");
-  const auto nf =
-      static_cast<std::size_t>(members_.front().tree.num_features());
-  HDD_ASSERT(xs.size() == out.size() * nf);
-  std::fill(out.begin(), out.end(), 0.0);
-  double norm = 0.0;
+  packed_.predict_batch(xs, out);
+}
+
+void AdaBoost::pack() {
+  packed_ = tree::PackedTrees(tree::PackedTrees::Finish::kVote,
+                              members_.front().tree.num_features());
   for (const Member& member : members_) {
-    for (std::size_t r = 0; r < out.size(); ++r) {
-      const std::span<const float> x{xs.data() + r * nf, nf};
-      out[r] += member.alpha *
-                static_cast<double>(member.tree.predict_label(x));
-    }
-    norm += member.alpha;
+    packed_.add_member(member.tree.nodes(), {}, member.alpha);
   }
-  for (double& v : out) v = norm > 0.0 ? v / norm : 0.0;
 }
 
 void AdaBoost::predict_batch(const data::DataMatrix& m,

@@ -50,14 +50,18 @@ class AdaBoost {
   }
 
   // Batch prediction over row-major rows (`xs.size()` must equal
-  // `out.size() * num_features` of the weak learners). Member-outer
-  // iteration with the same per-row accumulation order as predict(), so
-  // outputs are bit-identical.
+  // `out.size() * num_features` of the weak learners). predict() and
+  // predict_batch() run the same packed form (tree::PackedTrees, each leaf
+  // holding alpha * its member's label), so outputs are bit-identical.
   void predict_batch(std::span<const float> xs, std::span<double> out) const;
   void predict_batch(const data::DataMatrix& m, std::span<double> out) const;
 
  private:
+  // Compiles the members into packed_; run once trained or assembled.
+  void pack();
+
   std::vector<Member> members_;
+  tree::PackedTrees packed_;
 };
 
 }  // namespace hdd::forest

@@ -66,41 +66,25 @@ void RandomForest::fit(const data::DataMatrix& m, tree::Task task,
         trees_[t].features = std::move(chosen);
         trees_[t].tree.fit(boot, task, config.tree_params);
       });
+  pack();
 }
 
 double RandomForest::predict(std::span<const float> x) const {
   HDD_ASSERT_MSG(trained(), "predict on an untrained forest");
-  double total = 0.0;
-  std::vector<float> sub;
-  for (const Member& member : trees_) {
-    sub.resize(member.features.size());
-    for (std::size_t f = 0; f < member.features.size(); ++f) {
-      sub[f] = x[static_cast<std::size_t>(member.features[f])];
-    }
-    total += member.tree.predict(sub);
-  }
-  return total / static_cast<double>(trees_.size());
+  return packed_.predict(x);
 }
 
 void RandomForest::predict_batch(std::span<const float> xs,
                                  std::span<double> out) const {
   HDD_ASSERT_MSG(trained(), "predict_batch on an untrained forest");
-  const auto nf = static_cast<std::size_t>(num_features_);
-  HDD_ASSERT(xs.size() == out.size() * nf);
-  std::fill(out.begin(), out.end(), 0.0);
-  std::vector<float> sub;
+  packed_.predict_batch(xs, out);
+}
+
+void RandomForest::pack() {
+  packed_ = tree::PackedTrees(tree::PackedTrees::Finish::kMean, num_features_);
   for (const Member& member : trees_) {
-    sub.resize(member.features.size());
-    for (std::size_t r = 0; r < out.size(); ++r) {
-      const float* x = xs.data() + r * nf;
-      for (std::size_t f = 0; f < member.features.size(); ++f) {
-        sub[f] = x[static_cast<std::size_t>(member.features[f])];
-      }
-      out[r] += member.tree.predict(sub);
-    }
+    packed_.add_member(member.tree.nodes(), member.features);
   }
-  const auto n_trees = static_cast<double>(trees_.size());
-  for (double& v : out) v /= n_trees;
 }
 
 void RandomForest::predict_batch(const data::DataMatrix& m,
@@ -176,6 +160,7 @@ RandomForest RandomForest::load(std::istream& is) {
     }
     forest.trees_.push_back(std::move(member));
   }
+  forest.pack();
   return forest;
 }
 

@@ -61,10 +61,9 @@ class RandomForest {
   }
 
   // Batch prediction over row-major rows (`xs.size()` must equal
-  // `out.size() * num_features()`). Iterates members in the outer loop so
-  // each tree and its feature gather stay cache-hot across the whole block;
-  // per-row accumulation order matches predict(), so outputs are
-  // bit-identical.
+  // `out.size() * num_features()`). predict() and predict_batch() run the
+  // same packed form (tree::PackedTrees, subspaces folded in), so outputs
+  // are bit-identical.
   void predict_batch(std::span<const float> xs, std::span<double> out) const;
   void predict_batch(const data::DataMatrix& m, std::span<double> out) const;
 
@@ -81,7 +80,11 @@ class RandomForest {
     tree::DecisionTree tree;
     std::vector<int> features;  // subspace: member col -> original col
   };
+  // Compiles the members into packed_; run once trained or loaded.
+  void pack();
+
   std::vector<Member> trees_;
+  tree::PackedTrees packed_;
   int num_features_ = 0;
 };
 

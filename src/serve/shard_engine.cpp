@@ -52,8 +52,8 @@ ShardEngine::ShardEngine(ShardEngineConfig config) {
   core::FleetRuntimeConfig rt = config.runtime;
   if (!rt.model_path.empty()) {
     // Load once, share across shards: the model is immutable at serve time.
-    owned_scorer_ = core::make_tree_scorer(
-        core::load_tree_file(rt.model_path, rt.load));
+    owned_scorer_ = core::make_model_scorer(
+        core::load_model_file(rt.model_path, rt.load));
     rt.model_path.clear();
     rt.scorer = owned_scorer_.get();
   }

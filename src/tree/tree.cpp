@@ -292,6 +292,7 @@ void DecisionTree::fit(const data::DataMatrix& m, Task task,
   params.validate();
   HDD_REQUIRE(!m.empty(), "cannot fit a tree on an empty matrix");
   nodes_.clear();
+  packed_ = {};
   task_ = task;
   num_features_ = m.cols();
 
@@ -310,6 +311,12 @@ void DecisionTree::fit(const data::DataMatrix& m, Task task,
   }
   builder.prune(0, threshold);
   compact();
+  pack();
+}
+
+void DecisionTree::pack() {
+  packed_ = PackedTrees(PackedTrees::Finish::kLeaf, num_features_);
+  packed_.add_member(nodes_);
 }
 
 // Removes nodes orphaned by pruning and reindexes children.
@@ -371,42 +378,13 @@ int DecisionTree::depth() const {
 
 double DecisionTree::predict(std::span<const float> x) const {
   HDD_ASSERT_MSG(trained(), "predict on an untrained tree");
-  HDD_ASSERT(static_cast<int>(x.size()) == num_features_);
-  std::int32_t idx = 0;
-  for (;;) {
-    const Node& n = nodes_[static_cast<std::size_t>(idx)];
-    if (n.is_leaf()) return n.value;
-    idx = x[static_cast<std::size_t>(n.feature)] < n.threshold ? n.left
-                                                               : n.right;
-  }
+  return packed_.predict(x);
 }
 
 void DecisionTree::predict_batch(std::span<const float> xs,
                                  std::span<double> out) const {
   HDD_ASSERT_MSG(trained(), "predict_batch on an untrained tree");
-  const auto nf = static_cast<std::size_t>(num_features_);
-  HDD_ASSERT(xs.size() == out.size() * nf);
-  const Node* const nodes = nodes_.data();
-  // Row blocks keep the node array and a small stripe of input rows hot in
-  // cache while amortizing loop overhead over the block. Each row descends
-  // exactly as predict() does, so outputs are bit-identical.
-  constexpr std::size_t kBlock = 128;
-  const std::size_t n = out.size();
-  for (std::size_t base = 0; base < n; base += kBlock) {
-    const std::size_t hi = std::min(base + kBlock, n);
-    for (std::size_t r = base; r < hi; ++r) {
-      const float* x = xs.data() + r * nf;
-      std::int32_t idx = 0;
-      for (;;) {
-        const Node& node = nodes[idx];
-        if (node.is_leaf()) {
-          out[r] = node.value;
-          break;
-        }
-        idx = x[node.feature] < node.threshold ? node.left : node.right;
-      }
-    }
-  }
+  packed_.predict_batch(xs, out);
 }
 
 void DecisionTree::predict_batch(const data::DataMatrix& m,
@@ -506,6 +484,7 @@ DecisionTree DecisionTree::from_nodes(std::vector<Node> nodes, Task task,
   t.nodes_ = std::move(nodes);
   t.task_ = task;
   t.num_features_ = num_features;
+  t.pack();
   return t;
 }
 

@@ -69,6 +69,61 @@ struct Node {
   bool is_leaf() const { return left < 0; }
 };
 
+// The packed inference form every tree model predicts through: a single
+// tree, a random forest and an AdaBoost ensemble all compile their members'
+// training Nodes into one of these and run its one descent loop.
+//
+// Internal nodes are 16 bytes (threshold, feature, two child links) with
+// the feature already mapped through the member's subspace into the full
+// input row, so no per-call feature copy is needed. A child link < 0 is
+// ~leaf into one double array holding each member's *contribution*: its
+// leaf value (tree, forest) or alpha * sign(leaf value) (AdaBoost). The
+// descent compares `x[feature] < threshold` exactly as training splits
+// rows, so a NaN goes right, and each row sums its members in member
+// order, so outputs are bit-identical to the per-member scalar
+// definitions. Derived from the training nodes; never serialized.
+class PackedTrees {
+ public:
+  // How a row's member contributions become its output.
+  enum class Finish : std::uint8_t {
+    kLeaf,  // one member; its leaf value is the output (-0.0 stays -0.0)
+    kMean,  // leaf values summed from 0.0, divided by the member count
+    kVote,  // alpha * sign(leaf) summed from 0.0, divided by the sum of
+            // alphas (in member order); 0 when that sum is <= 0
+  };
+
+  PackedTrees() = default;
+  PackedTrees(Finish finish, int num_features);
+
+  // Appends one member compiled from training nodes in the shape
+  // DecisionTree::from_nodes accepts (children after their parent).
+  // `columns` maps the member's feature index to the input row's (empty =
+  // identity); `alpha` is the member's vote weight under kVote. Throws
+  // ConfigError on a feature outside the row or a second kLeaf member.
+  void add_member(std::span<const Node> nodes,
+                  std::span<const int> columns = {}, double alpha = 1.0);
+
+  double predict(std::span<const float> x) const;
+  // Row-major rows: `xs.size()` must equal `out.size() * num_features`.
+  void predict_batch(std::span<const float> xs, std::span<double> out) const;
+
+ private:
+  struct Split {
+    float threshold = 0.0f;
+    std::int32_t feature = 0;
+    std::int32_t left = 0;   // >= 0: split index; < 0: ~leaf index
+    std::int32_t right = 0;
+  };
+  static_assert(sizeof(Split) == 16);
+
+  std::vector<Split> splits_;
+  std::vector<double> leaves_;
+  std::vector<std::int32_t> roots_;  // per member, in the same encoding
+  Finish finish_ = Finish::kLeaf;
+  int num_features_ = 0;
+  double divisor_ = 0.0;  // member count (kMean) or sum of alphas (kVote)
+};
+
 class DecisionTree {
  public:
   DecisionTree() = default;
@@ -88,8 +143,8 @@ class DecisionTree {
   double predict(std::span<const float> x) const;
 
   // Batch prediction over row-major feature rows (`xs.size()` must equal
-  // `out.size() * num_features()`). Row-blocked traversal of the flat node
-  // array; outputs are bit-identical to calling predict() per row.
+  // `out.size() * num_features()`). Runs the packed form, as predict()
+  // does, so outputs are bit-identical to calling predict() per row.
   void predict_batch(std::span<const float> xs, std::span<double> out) const;
   void predict_batch(const data::DataMatrix& m, std::span<double> out) const;
 
@@ -106,7 +161,8 @@ class DecisionTree {
   // given, else "f<i>".
   std::string to_text(const smart::FeatureSet* features = nullptr) const;
 
-  // Flat node access (serialization, tests).
+  // Flat node access (serialization, tests). These training nodes are the
+  // source of truth; prediction runs their packed form.
   const std::vector<Node>& nodes() const { return nodes_; }
 
   // Rebuilds a tree from serialized nodes (validated).
@@ -124,8 +180,11 @@ class DecisionTree {
 
   // Drops nodes orphaned by pruning and renumbers children.
   void compact();
+  // Compiles nodes_ into packed_; run once trained or rebuilt.
+  void pack();
 
   std::vector<Node> nodes_;
+  PackedTrees packed_;
   Task task_ = Task::kClassification;
   int num_features_ = 0;
 };

@@ -13,13 +13,20 @@
 
 namespace hdd::update {
 
-GeneratorTelemetrySource::GeneratorTelemetrySource(
-    const sim::FleetConfig& fleet)
-    : fleet_(&fleet),
-      gen_(fleet.families.front().profile, fleet.seed, 0) {
+namespace {
+
+// Checked before the member initializers touch the family.
+const sim::FamilySpec& only_family(const sim::FleetConfig& fleet) {
   HDD_REQUIRE(fleet.families.size() == 1,
               "GeneratorTelemetrySource expects exactly one family");
+  return fleet.families.front();
 }
+
+}  // namespace
+
+GeneratorTelemetrySource::GeneratorTelemetrySource(
+    const sim::FleetConfig& fleet)
+    : fleet_(&fleet), gen_(only_family(fleet).profile, fleet.seed, 0) {}
 
 std::vector<smart::DriveRecord> GeneratorTelemetrySource::good_window(
     int from_week, int to_week) const {

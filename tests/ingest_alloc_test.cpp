@@ -9,11 +9,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/fleet.h"
+#include "core/predictor.h"
 #include "core/scorer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -44,8 +47,8 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace hdd::core {
 namespace {
 
-// A linear model over every feature: allocation-free, like the trained
-// tree and forest scorers.
+// A linear model over every feature: allocation-free by construction, so
+// these cases measure the pipeline around the model.
 class LinearScorer final : public SampleScorer {
  public:
   explicit LinearScorer(int width) : width_(width) {}
@@ -77,14 +80,34 @@ smart::Sample sample_at(std::int64_t h) {
   return s;
 }
 
+// A small model trained on random stat13-wide rows, for the cases that
+// score through a real tree or forest.
+data::DataMatrix stat13_training_rows() {
+  Rng rng(5);
+  data::DataMatrix m(smart::stat13_features().size());
+  std::vector<float> row(static_cast<std::size_t>(m.cols()));
+  for (int i = 0; i < 300; ++i) {
+    for (auto& v : row) v = static_cast<float>(rng.uniform(0.0, 40.0));
+    m.add_row(row, row[0] + row[4] < 40.0f ? -1.0f : 1.0f, 1.0f);
+  }
+  return m;
+}
+
+std::unique_ptr<SampleScorer> trained(ModelType model) {
+  PredictorConfig cfg = preset(model == ModelType::kRandomForest ? "forest"
+                                                                 : "ct");
+  cfg.forest.n_trees = 5;
+  return fit_scorer(cfg, stat13_training_rows());
+}
+
 // Ingests `calls` batches of `per_call` hourly samples into one drive and
 // returns how many heap allocations the last `measured` calls made.
-std::uint64_t allocs_in_steady_state(std::size_t per_call, int calls,
+std::uint64_t allocs_in_steady_state(const SampleScorer& scorer,
+                                     std::size_t per_call, int calls,
                                      int measured) {
   obs::Tracer::global().set_enabled(false);
   obs::Registry reg(/*enabled=*/false);
   const smart::FeatureSet features = smart::stat13_features();
-  const LinearScorer scorer(features.size());
   FleetScorerConfig cfg;
   cfg.features = features;
   cfg.metrics = &reg;
@@ -104,13 +127,29 @@ std::uint64_t allocs_in_steady_state(std::size_t per_call, int calls,
   return g_allocs.load();
 }
 
+const LinearScorer kLinear(smart::stat13_features().size());
+
 TEST(IngestAlloc, HourlySamplesAllocateNothingAfterWarmUp) {
   // 1000 warm-up hours fill the bounded history window; then 100 calls.
-  EXPECT_EQ(allocs_in_steady_state(1, 1100, 100), 0u);
+  EXPECT_EQ(allocs_in_steady_state(kLinear, 1, 1100, 100), 0u);
 }
 
 TEST(IngestAlloc, WeeklyBatchesAllocateNothingAfterWarmUp) {
-  EXPECT_EQ(allocs_in_steady_state(168, 110, 100), 0u);
+  EXPECT_EQ(allocs_in_steady_state(kLinear, 168, 110, 100), 0u);
+}
+
+TEST(IngestAlloc, TrainedTreeAllocatesNothingAfterWarmUp) {
+  const auto ct = trained(ModelType::kClassificationTree);
+  ASSERT_NE(ct->tree(), nullptr);
+  EXPECT_EQ(allocs_in_steady_state(*ct, 1, 1100, 100), 0u);
+  EXPECT_EQ(allocs_in_steady_state(*ct, 168, 110, 100), 0u);
+}
+
+TEST(IngestAlloc, TrainedForestAllocatesNothingAfterWarmUp) {
+  const auto forest = trained(ModelType::kRandomForest);
+  ASSERT_EQ(forest->summary(), "forest: 5 trees");
+  EXPECT_EQ(allocs_in_steady_state(*forest, 1, 1100, 100), 0u);
+  EXPECT_EQ(allocs_in_steady_state(*forest, 168, 110, 100), 0u);
 }
 
 }  // namespace

@@ -3,10 +3,16 @@
 // identity, or a Monte Carlo estimate.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
+#include <variant>
 
 #include "ann/mlp.h"
 #include "common/rng.h"
+#include "core/model_io.h"
 #include "eval/detection.h"
 #include "forest/adaboost.h"
 #include "forest/random_forest.h"
@@ -263,6 +269,178 @@ TEST(BatchPredictProperty, EmptyBatchIsNoop) {
   tree::DecisionTree t;
   t.fit(train, tree::Task::kClassification, {});
   t.predict_batch(std::span<const float>{}, std::span<double>{});
+}
+
+// --- Packed inference kernel vs a descent over the training nodes ----------
+
+// Reference prediction straight from the training representation
+// (DecisionTree::nodes(), the forest's member subspaces, AdaBoost's alpha *
+// label rule), independent of the packed form every model predicts through.
+double reference_leaf(const tree::DecisionTree& t, const float* x,
+                      std::span<const int> columns = {}) {
+  const auto& nodes = t.nodes();
+  std::size_t i = 0;
+  while (!nodes[i].is_leaf()) {
+    const tree::Node& n = nodes[i];
+    const auto f = static_cast<std::size_t>(n.feature);
+    const float v = columns.empty() ? x[f] : x[columns[f]];
+    i = static_cast<std::size_t>(v < n.threshold ? n.left : n.right);
+  }
+  return nodes[i].value;
+}
+
+double reference(const tree::DecisionTree& t, const float* x) {
+  return reference_leaf(t, x);
+}
+
+double reference(const forest::RandomForest& f, const float* x) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < f.tree_count(); ++i) {
+    total += reference_leaf(f.member_tree(i), x, f.member_features(i));
+  }
+  return total / static_cast<double>(f.tree_count());
+}
+
+double reference(const forest::AdaBoost& b, const float* x) {
+  double vote = 0.0, norm = 0.0;
+  for (const auto& m : b.members()) {
+    vote += m.alpha * (reference_leaf(m.tree, x) < 0.0 ? -1.0 : 1.0);
+    norm += m.alpha;
+  }
+  return norm > 0.0 ? vote / norm : 0.0;
+}
+
+// Uniform rows with roughly one value in eight replaced by NaN, +Inf or
+// -Inf.
+std::vector<float> hostile_rows(Rng& rng, std::size_t rows, std::size_t cols) {
+  constexpr float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity()};
+  std::vector<float> xs(rows * cols);
+  for (float& v : xs) {
+    v = rng.uniform_int(8) == 0 ? kSpecial[rng.uniform_int(3)]
+                                : static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return xs;
+}
+
+// Bit-for-bit (memcmp) equality of predict_batch and predict() with the
+// reference, over block sizes around the common row-block boundaries.
+template <typename Model>
+void expect_kernel_matches_reference(const Model& model, std::size_t cols,
+                                     Rng& rng, const std::string& what) {
+  for (const std::size_t n : {0, 1, 7, 8, 9, 168, 256, 257, 1000}) {
+    const auto xs = hostile_rows(rng, n, cols);
+    std::vector<double> got(n);
+    model.predict_batch(xs, got);
+    for (std::size_t r = 0; r < n; ++r) {
+      const float* x = xs.data() + r * cols;
+      const double want = reference(model, x);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[r]),
+                std::bit_cast<std::uint64_t>(want))
+          << what << ": block " << n << " row " << r << " batch " << got[r]
+          << " reference " << want;
+      const double scalar = model.predict(std::span<const float>(x, cols));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(scalar),
+                std::bit_cast<std::uint64_t>(want))
+          << what << ": block " << n << " row " << r << " scalar";
+    }
+  }
+}
+
+template <typename Model>
+Model round_trip(const Model& model) {
+  std::stringstream ss;
+  model.save(ss);
+  core::LoadOptions unverified;
+  unverified.verify = core::VerifyMode::kOff;
+  return std::get<Model>(core::load_model(ss, unverified));
+}
+
+// A split on feature 0 whose left leaf is -0.0: a single tree must return
+// it as -0.0, while ensembles sum from +0.0 exactly as their references do.
+tree::DecisionTree negative_zero_tree(int cols) {
+  std::vector<tree::Node> nodes(3);
+  nodes[0].left = 1;
+  nodes[0].right = 2;
+  nodes[0].feature = 0;
+  nodes[0].threshold = 0.0f;
+  nodes[1].value = -0.0;
+  nodes[2].value = 0.5;
+  return tree::DecisionTree::from_nodes(nodes, tree::Task::kClassification,
+                                        cols);
+}
+
+TEST(PackedKernelProperty, BitIdenticalToTrainingNodeDescent) {
+  Rng rng(49);
+  const std::size_t cols = 5;
+  data::DataMatrix cls_train(static_cast<int>(cols));
+  data::DataMatrix reg_train(static_cast<int>(cols));
+  std::vector<float> row(cols);
+  for (int i = 0; i < 600; ++i) {
+    for (auto& v : row) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const double margin = row[0] + 0.5 * row[2] + rng.normal(0.0, 0.3);
+    cls_train.add_row(row, margin < 0.0 ? -1.0f : 1.0f, 1.0f);
+    reg_train.add_row(row, static_cast<float>(margin), 1.0f);
+  }
+  tree::TreeParams params;
+  params.min_split = 10;
+  params.min_bucket = 5;
+
+  tree::DecisionTree ct;
+  ct.fit(cls_train, tree::Task::kClassification, params);
+  ASSERT_GT(ct.node_count(), 1u);
+  tree::DecisionTree rt;
+  rt.fit(reg_train, tree::Task::kRegression, params);
+  ASSERT_GT(rt.node_count(), 1u);
+  forest::ForestConfig fc;
+  fc.n_trees = 12;
+  fc.tree_params = params;
+  forest::RandomForest rf;
+  rf.fit(cls_train, tree::Task::kClassification, fc);
+  forest::AdaBoostConfig ac;
+  ac.n_rounds = 8;
+  forest::AdaBoost ab;
+  ab.fit(cls_train, ac);
+  ASSERT_GT(ab.round_count(), 1u);
+
+  const auto leaf_only = tree::DecisionTree::from_nodes(
+      {tree::Node{.value = 0.25}}, tree::Task::kRegression,
+      static_cast<int>(cols));
+  const auto neg_zero = negative_zero_tree(static_cast<int>(cols));
+
+  for (const bool reloaded : {false, true}) {
+    const std::string tag = reloaded ? " (reloaded)" : "";
+    const auto pick = [&](const auto& m) {
+      return reloaded ? round_trip(m) : m;
+    };
+    expect_kernel_matches_reference(pick(ct), cols, rng, "CT" + tag);
+    expect_kernel_matches_reference(pick(rt), cols, rng, "RT" + tag);
+    expect_kernel_matches_reference(pick(rf), cols, rng, "forest" + tag);
+    expect_kernel_matches_reference(pick(leaf_only), cols, rng,
+                                    "single leaf" + tag);
+    expect_kernel_matches_reference(pick(neg_zero), cols, rng,
+                                    "-0.0 leaf" + tag);
+    // AdaBoost has no file format; its members round-trip instead.
+    std::vector<forest::AdaBoost::Member> members = ab.members();
+    for (auto& m : members) m.tree = pick(m.tree);
+    expect_kernel_matches_reference(forest::AdaBoost::from_members(members),
+                                    cols, rng, "AdaBoost" + tag);
+  }
+}
+
+TEST(PackedKernelProperty, NegativeZeroLeafSurvivesOnlyASingleTree) {
+  const auto t = negative_zero_tree(1);
+  const float x[] = {-1.0f};
+  EXPECT_TRUE(std::signbit(t.predict(x)));
+  // A one-member forest sums from +0.0, as its reference does.
+  std::stringstream ss;
+  ss << "hddpred-forest v1\nfeatures 1\ntrees 1\nsubspace 0\n";
+  t.save(ss);
+  const auto rf = forest::RandomForest::load(ss);
+  EXPECT_FALSE(std::signbit(rf.predict(x)));
+  Rng rng(50);
+  expect_kernel_matches_reference(rf, 1, rng, "one-member forest");
 }
 
 // --- Rank-sum test vs brute-force U statistic --------------------------------

@@ -3,9 +3,10 @@
 // Covers the wire codec (round-trips, malformed/truncated/corrupt-frame
 // rejection, incremental framing), the ShardEngine (ingest/query/stats,
 // idempotent re-send, crash-resume with byte-identical alarms, shard-count
-// layout guard) and the Server end to end over localhost: batched ingest,
-// per-drive query, /metrics scrape, wire shutdown, and a concurrent-ingest
-// kill -> restart -> resume property test under injected crash points.
+// layout guard, serving a persisted tree or forest file) and the Server
+// end to end over localhost: batched ingest, per-drive query, /metrics
+// scrape, wire shutdown, and a concurrent-ingest kill -> restart -> resume
+// property test under injected crash points.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -19,7 +20,10 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "common/rng.h"
+#include "core/model_io.h"
 #include "core/scorer.h"
+#include "forest/random_forest.h"
 #include "io/env.h"
 #include "io/fault_env.h"
 #include "io/shutdown.h"
@@ -409,6 +413,70 @@ TEST_F(ServeTest, EngineRefusesShardCountMismatch) {
   EXPECT_THROW(
       ShardEngine(engine_config(base_dir_ / "s", 2, &scorer_, nullptr)),
       ConfigError);
+}
+
+// Rows shaped like two_features(): feature 0 carries the label, as the
+// biased drives' read-error rate does; feature 1 is noise.
+data::DataMatrix two_feature_matrix() {
+  Rng rng(11);
+  data::DataMatrix m(2);
+  for (int i = 0; i < 400; ++i) {
+    const float row[] = {static_cast<float>(rng.uniform(-2.0, 2.0)),
+                         static_cast<float>(rng.uniform(-20.0, 20.0))};
+    const double margin = row[0] + rng.normal(0.0, 0.3);
+    m.add_row(row, margin < 0.0 ? -1.0f : 1.0f, 1.0f);
+  }
+  return m;
+}
+
+// A 2-shard engine started from the model file at `path` (strict verify)
+// must hold, drive for drive, the vote states of an in-memory runtime over
+// `model` fed the same samples.
+void expect_engine_matches_in_memory(const fs::path& dir,
+                                     const std::string& path,
+                                     const core::SampleScorer& model) {
+  ShardEngineConfig ec = engine_config(dir / "engine", 2, nullptr, nullptr);
+  ec.runtime.model_path = path;
+  ec.runtime.load.verify = core::VerifyMode::kStrict;
+  ShardEngine engine(ec);
+  ingest_all(engine);
+
+  core::FleetRuntime ref(engine_config(dir, 1, &model, nullptr).runtime);
+  std::size_t alarmed = 0;
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    const std::size_t i = ref.fleet().add_drive(serial_of(d));
+    (void)ref.fleet().ingest_drive(i, batch_for_drive(d, 0, kHours).samples);
+    const core::DriveVoteState& want = ref.fleet().state(i);
+    const QueryResponse got = engine.query(serial_of(d));
+    EXPECT_TRUE(got.known) << serial_of(d);
+    EXPECT_EQ(got.alarmed, want.alarmed()) << serial_of(d);
+    EXPECT_EQ(got.alarm_hour, want.alarm_hour()) << serial_of(d);
+    EXPECT_EQ(got.samples_seen, want.samples_seen()) << serial_of(d);
+    alarmed += want.alarmed() ? 1 : 0;
+  }
+  // Some drives alarm and some do not, so the states tell models apart.
+  EXPECT_GT(alarmed, 0u);
+  EXPECT_LT(alarmed, kDrives);
+}
+
+TEST_F(ServeTest, EngineServesAForestModelFile) {
+  forest::ForestConfig fc;
+  fc.n_trees = 9;
+  forest::RandomForest rf;
+  rf.fit(two_feature_matrix(), tree::Task::kClassification, fc);
+  const auto model = core::make_forest_scorer(rf);
+  const std::string path = (base_dir_ / "forest.model").string();
+  core::save_scorer_file(*model, path);
+  expect_engine_matches_in_memory(base_dir_, path, *model);
+}
+
+TEST_F(ServeTest, EngineServesATreeModelFile) {
+  tree::DecisionTree ct;
+  ct.fit(two_feature_matrix(), tree::Task::kClassification, {});
+  const auto model = core::make_tree_scorer(ct);
+  const std::string path = (base_dir_ / "ct.tree").string();
+  core::save_scorer_file(*model, path);
+  expect_engine_matches_in_memory(base_dir_, path, *model);
 }
 
 // ---------------------------------------------------------------------------

@@ -67,6 +67,15 @@ TEST(LongTerm, ValidatesInputs) {
                ConfigError);
 }
 
+TEST(GeneratorTelemetrySource, RejectsAFleetWithoutExactlyOneFamily) {
+  auto fleet = tiny_fleet();
+  fleet.families.clear();
+  EXPECT_THROW(GeneratorTelemetrySource{fleet}, ConfigError);
+  fleet = tiny_fleet();
+  fleet.families.push_back(fleet.families[0]);
+  EXPECT_THROW(GeneratorTelemetrySource{fleet}, ConfigError);
+}
+
 TEST(LongTerm, CoversWeeksTwoThroughLast) {
   const auto fleet = tiny_fleet();
   auto cfg = base_config();
